@@ -1,25 +1,4 @@
 """Event-camera simulation, exposure-event imaging, and differentiable
 3D Gaussian splatting reconstruction."""
 
-from .backward import GradientBuffer, render_backward
-from .camera import CameraModel, KeyframeTrajectory, TurntableTrajectory, pose_at_time
-from .dataset import (LoadedDataset, PointCloud, SceneManifest, SyntheticDataset,
-                      SyntheticSceneSpec, generate_synthetic_scene, init_point_cloud,
-                      load_dataset, read_events, read_manifest, read_ply_points,
-                      read_pnm, write_dataset, write_events, write_manifest, write_pnm)
-from .events import (DeltaLogMap, Event, EventModelConfig, EventStream,
-                     accumulate_events, intensity_from_log, log_intensity,
-                     simulate_motion_events)
-from .exposure import (ExposureFrame, TemporalMatrix, TransmittanceProfile,
-                       cumulative_exposure, extract_ipe, map_temporal_to_intensity,
-                       scale_foreground, simulate_exposure_events, transmittance_at)
-from .losses import (combined_loss, exposure_loss, motion_event_loss,
-                     predicted_delta_log)
-from .metrics import MetricReport, psnr, ssim
-from .render import RenderOutput, project_gaussian, render, render_depth
-from .scene import Gaussian3D, GaussianScene, covariance_3d, load_scene, save_scene
-from .training import (AdamState, DensifyConfig, SamplerConfig, TrainConfig,
-                       TrainData, WindowSpec, adam_step, densify_and_prune,
-                       sample_window, train)
-
 __version__ = "0.1.0"

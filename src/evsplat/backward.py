@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraModel
-from .quat import quat_to_rot
 from .render import ALPHA_MAX, RenderTape, _segment_first, render
 from .scene import GaussianScene
 
@@ -167,29 +166,17 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
     minv = proj.cov2d_inv
     g_cov2d = -np.einsum("mij,mjk,mkl->mil", minv, g_m, minv)
 
-    # projection chain
+    # projection chain, through the intermediates _project kept
     z = proj.depth
     x = proj.p_cam[:, 0]
     y = proj.p_cam[:, 1]
-    J = np.zeros((m, 2, 3))
-    J[:, 0, 0] = cam.fx / z
-    J[:, 0, 2] = -cam.fx * x / (z * z)
-    J[:, 1, 1] = cam.fy / z
-    J[:, 1, 2] = -cam.fy * y / (z * z)
-    A = np.einsum("mij,jk->mik", J, cam.R)
-    quats = scene.quats[proj.orig_idx]
-    log_scales = scene.log_scales[proj.orig_idx]
-    R3 = quat_to_rot(quats)
-    s = np.exp(log_scales)
-    RS = R3 * s[:, None, :]
-    sigma = np.einsum("mik,mjk->mij", RS, RS)
-
+    A = proj.jac_r
     g_sigma = np.einsum("mij,mil,mlk->mjk", A, g_cov2d, A)
-    g_a_mat = 2.0 * np.einsum("mil,mlk,mkj->mij", g_cov2d, A, sigma)
+    g_a_mat = 2.0 * np.einsum("mil,mlk,mkj->mij", g_cov2d, A, proj.sigma)
     g_j = np.einsum("mik,jk->mij", g_a_mat, cam.R)
 
     gm2d = np.stack([grad_mx, grad_my], axis=1)
-    grad_pcam = np.einsum("mij,mi->mj", J, gm2d)
+    grad_pcam = np.einsum("mij,mi->mj", proj.jac, gm2d)
     z2 = z * z
     z3 = z2 * z
     grad_pcam[:, 0] += g_j[:, 0, 2] * (-cam.fx / z2)
@@ -199,10 +186,10 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
                         + g_j[:, 1, 2] * (2.0 * cam.fy * y / z3))
     grad_mean = grad_pcam @ cam.R
 
-    g_m3 = 2.0 * np.einsum("mij,mjk->mik", g_sigma, RS)
-    grad_log_scale = np.einsum("mik,mik->mk", R3, g_m3) * s
-    g_r3 = g_m3 * s[:, None, :]
-    grad_quat = _quat_rotation_adjoint(g_r3, quats)
+    g_m3 = 2.0 * np.einsum("mij,mjk->mik", g_sigma, proj.rs)
+    grad_log_scale = np.einsum("mik,mik->mk", proj.rot, g_m3) * proj.scale
+    g_r3 = g_m3 * proj.scale[:, None, :]
+    grad_quat = _quat_rotation_adjoint(g_r3, scene.quats[proj.orig_idx])
 
     sig = 1.0 / (1.0 + np.exp(-scene.opacity_logits[proj.orig_idx]))
     dab = np.where(sig <= ALPHA_MAX, sig * (1.0 - sig), 0.0)

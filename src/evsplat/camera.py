@@ -38,12 +38,6 @@ class CameraModel:
     def world_to_cam(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) @ self.R.T + self.t
 
-    def world_to_camera_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.R
-        m[:3, 3] = self.t
-        return m
-
     @staticmethod
     def looking_at(eye, target, up, fx, fy, cx, cy, width, height) -> "CameraModel":
         eye = np.asarray(eye, dtype=np.float64)

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -21,37 +21,103 @@ from .camera import pose_at_time
 from .events import EventModelConfig, simulate_motion_events
 from .exposure import TransmittanceProfile, extract_ipe, map_temporal_to_intensity
 from .metrics import MetricReport, psnr, ssim
-from .render import render, render_depth
+from .render import render
 from .scene import load_scene, save_scene
-from .training import (DensifyConfig, SamplerConfig, TrainConfig, TrainData, train)
+from .training import TrainConfig, TrainData, train
 
 THREADS_ENV = "EVSPLAT_THREADS"
 
-_SCHEMAS = {
-    "make-synthetic": {"resolution", "frames", "stops", "span", "turns", "radius",
-                       "height", "focal", "background", "exposure_t_end", "levels",
-                       "exposure_contrast", "motion_contrast", "gamma",
-                       "init_points", "init_noise", "seed"},
-    "simulate": {"frames_dir", "timestamps_us", "interval_us",
-                 "contrast_threshold", "gamma", "output"},
-    "map-exposure": {"events", "t_open_us", "profile", "contrast",
-                     "clip_percentile", "output"},
-    "train": {"iterations", "warmup_iters", "lr_initial", "seed", "log_interval",
-              "eval_interval", "densify", "sampler", "init", "event"},
-    "render": set(),
-    "eval": set(),
-}
+
+@dataclass(frozen=True)
+class SimulateConfig:
+    """``simulate``: the .pnm frames of frames_dir in name order, at
+    timestamps_us (default: one every interval_us), to an EVT1 file."""
+
+    frames_dir: str
+    timestamps_us: list | None = None
+    interval_us: int = 10_000
+    contrast_threshold: float = EventModelConfig.contrast_threshold
+    gamma: float = EventModelConfig.gamma
+    output: str = "events.evt1"
+
+
+@dataclass(frozen=True)
+class MapExposureConfig:
+    """``map-exposure``: the frame mapped from an exposure-event file."""
+
+    events: str
+    t_open_us: int = 0
+    profile: TransmittanceProfile = field(default_factory=TransmittanceProfile)
+    contrast: float = 0.1
+    clip_percentile: float | None = None
+    output: str = "frame.pnm"
+
+
+@dataclass(frozen=True)
+class InitConfig:
+    """How ``train`` starts the scene: ``ply`` from the dataset's
+    init_points.ply, or ``random`` with n points in bbox.  A background of
+    None takes the dataset's."""
+
+    mode: str = "ply"
+    n: int = 200
+    bbox: tuple = ((-0.8, -0.8, -0.8), (0.8, 0.8, 0.8))
+    background: float | None = None
+
+    def __post_init__(self):
+        if self.mode not in ("ply", "random"):
+            raise ValueError(f"mode must be 'ply' or 'random', not {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class TrainJob(TrainConfig):
+    """``train``: the TrainConfig keys, the scene's init and the event model."""
+
+    init: InitConfig = field(default_factory=InitConfig)
+    event: EventModelConfig = field(default_factory=EventModelConfig)
+
+
+# JSON kinds a field takes, by the type of its default; a field that has no
+# default, or defaults to None, takes any value
+_JSON_KINDS = {int: int, float: (int, float), str: str, tuple: (list, tuple)}
+
+
+def _from_config(cls, doc, where: str = "", **fixed):
+    """Build dataclass ``cls`` from a config object.
+
+    Keys must name fields of ``cls`` not in ``fixed``; a field whose default
+    is a dataclass takes a nested object; omitted fields keep their defaults.
+    Raises ValueError naming the dotted key.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {where or 'file'} must be an object, not {doc!r}")
+    known = {f.name: f for f in fields(cls) if f.name not in fixed}
+    kwargs = dict(fixed)
+    for key, value in doc.items():
+        dotted = f"{where}.{key}" if where else key
+        f = known.get(key)
+        if f is None:
+            raise ValueError(f"unknown config key {dotted!r}")
+        if is_dataclass(f.default_factory):
+            value = _from_config(f.default_factory, value, dotted)
+        kind = _JSON_KINDS.get(type(f.default))
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(f"config key {dotted!r} takes a {type(f.default).__name__}, "
+                             f"not {value!r}")
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid config{' ' + where if where else ''}: {exc}") from None
 
 
 @dataclass
 class Command:
     subcommand: str
-    config: dict = field(default_factory=dict)
+    config: object = None   # the subcommand's config dataclass; render and eval take none
     out: str = "."
-    seed: int = 0
     data: str | None = None
     checkpoint: str | None = None
-    mode: str | None = None
     frame: int | None = None
     split: str = "both"
     depth: bool = False
@@ -78,10 +144,20 @@ def _apply_override(config: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _validate_keys(config: dict, allowed: set, where: str) -> None:
-    unknown = set(config) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys in {where}: {sorted(unknown)}")
+def _build_config(subcommand: str, config: dict, seed: int, mode: str | None):
+    if subcommand in ("render", "eval"):
+        if config:
+            raise ValueError(f"{subcommand} takes no config keys, got {sorted(config)}")
+        return None
+    cls, fixed = {
+        "make-synthetic": (dio.SyntheticSceneSpec, {"gaussians": None}),  # built-in toy
+        "simulate": (SimulateConfig, {}),
+        "map-exposure": (MapExposureConfig, {}),
+        "train": (TrainJob, {"mode": mode}),
+    }[subcommand]
+    if any(f.name == "seed" for f in fields(cls)):
+        config = {"seed": seed, **config}
+    return _from_config(cls, config, **fixed)
 
 
 def parse_args(argv) -> Command:
@@ -128,18 +204,21 @@ def parse_args(argv) -> Command:
                 config = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"unreadable config {args.config!r}: {exc}")
+        if not isinstance(config, dict):
+            parser.error(f"config {args.config!r} must hold a JSON object")
     try:
         for item in args.overrides:
             key, value = _parse_override(item)
             _apply_override(config, key, value)
-        _validate_keys(config, _SCHEMAS[args.subcommand], args.subcommand)
+        settings = _build_config(args.subcommand, config, args.seed,
+                                 getattr(args, "mode", None))
     except ValueError as exc:
         parser.error(str(exc))
 
     return Command(
-        subcommand=args.subcommand, config=config, out=args.out, seed=args.seed,
+        subcommand=args.subcommand, config=settings, out=args.out,
         data=getattr(args, "data", None), checkpoint=getattr(args, "checkpoint", None),
-        mode=getattr(args, "mode", None), frame=getattr(args, "frame", None),
+        frame=getattr(args, "frame", None),
         split=getattr(args, "split", "both"), depth=getattr(args, "depth", False))
 
 
@@ -164,17 +243,8 @@ class _OutputLock:
         return False
 
 
-def _effective_seed(cmd: Command) -> int:
-    return int(cmd.config.get("seed", cmd.seed))
-
-
 def _run_make_synthetic(cmd: Command) -> int:
-    cfg = dict(cmd.config)
-    cfg.setdefault("seed", cmd.seed)
-    if "resolution" in cfg:
-        cfg["resolution"] = tuple(cfg["resolution"])
-    spec = dio.SyntheticSceneSpec(**cfg)
-    ds = dio.generate_synthetic_scene(spec)
+    ds = dio.generate_synthetic_scene(cmd.config)
     dio.write_dataset(cmd.out, ds)
     print(f"wrote synthetic dataset to {cmd.out} "
           f"({len(ds.events)} events, {len(ds.exposure_frames)} exposure stops)")
@@ -183,43 +253,31 @@ def _run_make_synthetic(cmd: Command) -> int:
 
 def _run_simulate(cmd: Command) -> int:
     cfg = cmd.config
-    frames_dir = cfg["frames_dir"]
-    names = sorted(fn for fn in os.listdir(frames_dir) if fn.endswith(".pnm"))
+    names = sorted(fn for fn in os.listdir(cfg.frames_dir) if fn.endswith(".pnm"))
     if len(names) < 2:
         raise RuntimeError("need at least two .pnm frames")
-    images = [dio.read_pnm(os.path.join(frames_dir, fn)) for fn in names]
-    if "timestamps_us" in cfg:
-        times = [int(t) for t in cfg["timestamps_us"]]
+    images = [dio.read_pnm(os.path.join(cfg.frames_dir, fn)) for fn in names]
+    if cfg.timestamps_us is not None:
+        times = [int(t) for t in cfg.timestamps_us]
         if len(times) != len(images):
             raise RuntimeError("timestamps_us length must match the frame count")
     else:
-        step = int(cfg.get("interval_us", 10_000))
-        times = [i * step for i in range(len(images))]
-    ecfg = EventModelConfig(contrast_threshold=float(cfg.get("contrast_threshold", 0.1)),
-                            gamma=float(cfg.get("gamma", 2.2)))
-    stream = simulate_motion_events(list(zip(times, images)), ecfg)
-    out_path = os.path.join(cmd.out, cfg.get("output", "events.evt1"))
+        times = [i * cfg.interval_us for i in range(len(images))]
+    event = EventModelConfig(contrast_threshold=cfg.contrast_threshold, gamma=cfg.gamma)
+    stream = simulate_motion_events(list(zip(times, images)), event)
+    out_path = os.path.join(cmd.out, cfg.output)
     dio.write_events(out_path, stream)
     print(f"wrote {len(stream)} events to {out_path}")
     return 0
 
 
-def _profile_from_config(doc: dict | None) -> TransmittanceProfile:
-    doc = doc or {}
-    kind = doc.get("kind", "linear")
-    t_end = float(doc.get("t_end", 1.0))
-    samples = np.array(doc["samples"], dtype=np.float64) if "samples" in doc else None
-    return TransmittanceProfile(kind=kind, t_end=t_end, samples=samples)
-
-
 def _run_map_exposure(cmd: Command) -> int:
     cfg = cmd.config
-    stream = dio.read_events(cfg["events"])
-    profile = _profile_from_config(cfg.get("profile"))
-    tm = extract_ipe(stream, int(cfg.get("t_open_us", 0)))
-    frame = map_temporal_to_intensity(tm, profile, float(cfg.get("contrast", 0.1)),
-                                      clip_percentile=cfg.get("clip_percentile"))
-    out_path = os.path.join(cmd.out, cfg.get("output", "frame.pnm"))
+    stream = dio.read_events(cfg.events)
+    tm = extract_ipe(stream, cfg.t_open_us)
+    frame = map_temporal_to_intensity(tm, cfg.profile, cfg.contrast,
+                                      clip_percentile=cfg.clip_percentile)
+    out_path = os.path.join(cmd.out, cfg.output)
     dio.write_pnm(out_path, frame.image)
     print(f"wrote mapped exposure frame to {out_path}")
     return 0
@@ -250,50 +308,31 @@ def make_train_data(loaded: dio.LoadedDataset, init_scene, event_cfg=None) -> Tr
         scene_extent=extent)
 
 
-def _train_config_from_dict(cfg: dict, mode: str, seed: int) -> TrainConfig:
-    dens = DensifyConfig(**cfg.get("densify", {}))
-    samp = SamplerConfig(**cfg.get("sampler", {}))
-    return TrainConfig(
-        mode=mode,
-        iterations=cfg.get("iterations"),
-        warmup_iters=int(cfg.get("warmup_iters", 500)),
-        lr_initial=cfg.get("lr_initial"),
-        densify=dens, sampler=samp,
-        seed=int(cfg.get("seed", seed)),
-        log_interval=int(cfg.get("log_interval", 100)),
-        eval_interval=int(cfg.get("eval_interval", 0)))
-
-
 def _run_train(cmd: Command) -> int:
     loaded = dio.load_dataset(cmd.data)
     cfg = cmd.config
-    seed = _effective_seed(cmd)
-    init_cfg = cfg.get("init", {})
-    rng = np.random.default_rng(seed)
-    background = init_cfg.get("background")
+    background = cfg.init.background
     if background is None:
         background = loaded.manifest.background
     background = 0.5 if background is None else float(background)
-    if init_cfg.get("mode", "ply") == "random":
-        bbox = init_cfg.get("bbox", [[-0.8, -0.8, -0.8], [0.8, 0.8, 0.8]])
-        init_scene = dio.init_point_cloud("random", n=int(init_cfg.get("n", 200)),
-                                          bbox=bbox, rng=rng, background=background)
+    if cfg.init.mode == "random":
+        init_scene = dio.init_point_cloud("random", n=cfg.init.n, bbox=cfg.init.bbox,
+                                          rng=np.random.default_rng(cfg.seed),
+                                          background=background)
     else:
         if loaded.init_cloud is None:
             raise RuntimeError("dataset has no init_points.ply; use init.mode=random")
         init_scene = dio.init_point_cloud("ply", cloud=loaded.init_cloud,
                                           background=background)
-    event_cfg = EventModelConfig(**cfg.get("event", {}))
-    data = make_train_data(loaded, init_scene, event_cfg)
-    tcfg = _train_config_from_dict(cfg, cmd.mode, seed)
+    data = make_train_data(loaded, init_scene, cfg.event)
 
-    scene, log = train(data, tcfg)
+    scene, log = train(data, cfg)
     save_scene(os.path.join(cmd.out, "scene.egs"), scene)
     with open(os.path.join(cmd.out, "train_log.jsonl"), "w") as f:
         for rec in log:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
     final = log[-1]
-    print(f"trained {cmd.mode} for {final['iterations']} iterations, "
+    print(f"trained {cfg.mode} for {final['iterations']} iterations, "
           f"{final['count']} Gaussians"
           + (f", held-out PSNR {final['psnr_eval']:.2f} dB" if "psnr_eval" in final else ""))
     return 0
@@ -305,15 +344,14 @@ def _run_render(cmd: Command) -> int:
     if not 0 <= cmd.frame < len(loaded.pose_times):
         raise RuntimeError(f"frame {cmd.frame} outside pose table")
     cam = pose_at_time(loaded.trajectory, loaded.pose_times[cmd.frame])
-    out = render(scene, cam)
+    out = render(scene, cam, compute_depth=cmd.depth)
     img_path = os.path.join(cmd.out, f"render_{cmd.frame:03d}.pnm")
     dio.write_pnm(img_path, out.image)
     written = [img_path]
     if cmd.depth:
-        depth = render_depth(scene, cam)
-        peak = depth.max()
+        peak = out.depth.max()
         depth_path = os.path.join(cmd.out, f"depth_{cmd.frame:03d}.pnm")
-        dio.write_pnm(depth_path, depth / peak if peak > 0 else depth)
+        dio.write_pnm(depth_path, out.depth / peak if peak > 0 else out.depth)
         written.append(depth_path)
     print("wrote " + ", ".join(written))
     return 0

@@ -257,10 +257,6 @@ class SceneManifest:
     split: dict = field(default_factory=lambda: {"given": [], "novel": []})
     background: float | None = None   # constant scene background level, when known
 
-    def camera_template(self) -> CameraModel:
-        fx, fy, cx, cy = self.intrinsics
-        return CameraModel(fx, fy, cx, cy, self.resolution[0], self.resolution[1])
-
 
 def _trajectory_to_dict(traj: Trajectory) -> dict:
     if isinstance(traj, TurntableTrajectory):
@@ -429,8 +425,7 @@ def _default_toy_gaussians() -> list[Gaussian3D]:
 @dataclass(frozen=True)
 class SyntheticSceneSpec:
     """Turntable toy scene: renders, motion events over one full rotation,
-    and exposure stops at uniform angular increments (defaults: 200 stops,
-    a 1.8-degree spacing)."""
+    and exposure stops at uniform angular increments."""
 
     gaussians: tuple | None = None     # None selects the built-in 3-Gaussian toy
     resolution: tuple[int, int] = (64, 64)
@@ -452,6 +447,10 @@ class SyntheticSceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        res = tuple(self.resolution)
+        if len(res) != 2 or not all(isinstance(v, int) and v > 0 for v in res):
+            raise ValueError(f"resolution must be [width, height] in pixels, not {res!r}")
+        object.__setattr__(self, "resolution", res)
         if self.frames < 2:
             raise ValueError("frames must be >= 2")
         if self.stops < 1:

@@ -9,22 +9,13 @@ of the floored intensity divided by the gamma factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # Plain ndarray aliases used in signatures for readability.
 IntensityImage = np.ndarray   # (H, W) float, values >= 0
 LogImage = np.ndarray         # (H, W) float, log-brightness
-
-
-class Event(NamedTuple):
-    """One sensor event: pixel column, pixel row, microsecond timestamp, polarity."""
-
-    x: int
-    y: int
-    t: int
-    p: int
 
 
 @dataclass(frozen=True)
@@ -90,14 +81,6 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, i: int) -> Event:
-        return Event(int(self.x[i]), int(self.y[i]), int(self.t[i]), int(self.p[i]))
-
-    def time_span(self) -> tuple[int, int] | None:
-        if len(self) == 0:
-            return None
-        return int(self.t[0]), int(self.t[-1])
-
 
 @dataclass(frozen=True)
 class DeltaLogMap:
@@ -117,11 +100,6 @@ def log_intensity(img: IntensityImage, cfg: EventModelConfig) -> LogImage:
     if np.any(img < 0):
         raise ValueError("intensity values must be >= 0")
     return np.log(np.maximum(img, cfg.intensity_floor)) / cfg.gamma
-
-
-def intensity_from_log(log_img: LogImage, cfg: EventModelConfig) -> IntensityImage:
-    """Inverse of log_intensity for values above the floor."""
-    return np.exp(cfg.gamma * np.asarray(log_img, dtype=np.float64))
 
 
 def accumulate_events(stream: EventStream, t0, t1, cfg: EventModelConfig) -> DeltaLogMap:

@@ -57,10 +57,6 @@ class TemporalMatrix:
     resolution: tuple[int, int]   # (width, height)
     t_star: np.ndarray            # (H, W) float seconds, NaN = invalid
 
-    @property
-    def valid(self) -> np.ndarray:
-        return np.isfinite(self.t_star)
-
 
 @dataclass(frozen=True)
 class ExposureFrame:

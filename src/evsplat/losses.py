@@ -7,9 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .events import DeltaLogMap, EventModelConfig, log_intensity
-from .render import render
-from .scene import GaussianScene
+from .events import DeltaLogMap, EventModelConfig
 
 
 NORM_FLOOR = 1e-9
@@ -78,13 +76,6 @@ def combined_loss(l_evs: float, l_img: float, lam: float) -> float:
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     return lam * l_evs + (1.0 - lam) * l_img
-
-
-def predicted_delta_log(scene: GaussianScene, window, cfg: EventModelConfig) -> DeltaLogMap:
-    """Rendered log-brightness change between the window's end and start poses."""
-    img1 = render(scene, window.cam1).image
-    img0 = render(scene, window.cam0).image
-    return DeltaLogMap(log_intensity(img1, cfg) - log_intensity(img0, cfg))
 
 
 def log_intensity_upstream(image: np.ndarray, upstream_log: np.ndarray,

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraModel
-from .scene import Gaussian3D, GaussianScene, covariance_3d
-from .quat import quat_normalize
+from .quat import quat_to_rot
+from .scene import GaussianScene
 
 ALPHA_MIN = 1e-12
 ALPHA_MAX = 0.999
@@ -40,12 +40,19 @@ CHUNK_SIZE = 512
 
 @dataclass
 class Projection:
-    """Screen-space quantities for the Gaussians kept after culling, in depth order."""
+    """Screen-space quantities for the Gaussians kept after culling, in depth
+    order, with the intermediates of the EWA projection the adjoint reads."""
 
     orig_idx: np.ndarray    # (M,) indices into the scene
     p_cam: np.ndarray       # (M, 3)
     mean2d: np.ndarray      # (M, 2)
-    cov2d: np.ndarray       # (M, 2, 2) after dilation
+    jac: np.ndarray         # (M, 2, 3) perspective Jacobian J at p_cam
+    jac_r: np.ndarray       # (M, 2, 3) A = J R, camera rotation R
+    rot: np.ndarray         # (M, 3, 3) Gaussian rotation
+    scale: np.ndarray       # (M, 3) exp(log_scale)
+    rs: np.ndarray          # (M, 3, 3) rot * scale, so sigma = rs rs^T
+    sigma: np.ndarray       # (M, 3, 3) world covariance
+    cov2d: np.ndarray       # (M, 2, 2) A sigma A^T after dilation
     cov2d_inv: np.ndarray   # (M, 2, 2)
     depth: np.ndarray       # (M,) camera z
     alpha_base: np.ndarray  # (M,) clipped sigmoid of opacity logit
@@ -80,39 +87,10 @@ class RenderOutput:
     tape: RenderTape | None = None
 
 
-def project_gaussian(g: Gaussian3D, cam: CameraModel):
-    """Project a single Gaussian: (mean2d, cov2d, depth), or None when culled."""
-    p_cam = cam.R @ np.asarray(g.mean, dtype=np.float64) + cam.t
-    z = p_cam[2]
-    if z <= NEAR_PLANE:
-        return None
-    x, y = p_cam[0], p_cam[1]
-    mean2d = np.array([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy])
-    J = np.array([[cam.fx / z, 0.0, -cam.fx * x / (z * z)],
-                  [0.0, cam.fy / z, -cam.fy * y / (z * z)]])
-    A = J @ cam.R
-    sigma = covariance_3d(quat_normalize(g.rotation), g.log_scale)
-    cov2d = A @ sigma @ A.T + COV2D_DILATION * np.eye(2)
-    return mean2d, cov2d, float(z)
-
-
-def _empty_projection() -> Projection:
-    z0 = np.zeros(0, dtype=np.int64)
-    return Projection(z0, np.zeros((0, 3)), np.zeros((0, 2)), np.zeros((0, 2, 2)),
-                      np.zeros((0, 2, 2)), np.zeros(0), np.zeros(0), np.zeros(0),
-                      np.zeros((0, 4), dtype=np.int64))
-
-
 def _project(scene: GaussianScene, cam: CameraModel) -> Projection:
-    n = len(scene)
-    if n == 0:
-        return _empty_projection()
-    p_cam = scene.means @ cam.R.T + cam.t
+    p_cam = cam.world_to_cam(scene.means)
     z = p_cam[:, 2]
-    keep = z > NEAR_PLANE
-    idx = np.flatnonzero(keep)
-    if idx.size == 0:
-        return _empty_projection()
+    idx = np.flatnonzero(z > NEAR_PLANE)
     p_cam = p_cam[idx]
     z = z[idx]
     x, y = p_cam[:, 0], p_cam[:, 1]
@@ -126,7 +104,12 @@ def _project(scene: GaussianScene, cam: CameraModel) -> Projection:
     J[:, 1, 1] = cam.fy / z
     J[:, 1, 2] = -cam.fy * y / (z * z)
     A = np.einsum("mij,jk->mik", J, cam.R)
-    sigma = covariance_3d(scene.quats[idx], scene.log_scales[idx])
+    rot = quat_to_rot(scene.quats[idx])
+    scale = np.exp(scene.log_scales[idx])
+    # sigma = M M^T with M = R S is exactly symmetric: each mirrored entry
+    # sums the same commutative products
+    rs = rot * scale[:, None, :]
+    sigma = np.einsum("mik,mjk->mij", rs, rs)
     cov2d = np.einsum("mij,mjk,mlk->mil", A, sigma, A)
     cov2d[:, 0, 0] += COV2D_DILATION
     cov2d[:, 1, 1] += COV2D_DILATION
@@ -151,8 +134,6 @@ def _project(scene: GaussianScene, cam: CameraModel) -> Projection:
     ok &= (x0 <= x1) & (y0 <= y1)
 
     sel = np.flatnonzero(ok)
-    if sel.size == 0:
-        return _empty_projection()
     order = sel[np.argsort(z[sel], kind="stable")]
 
     inv = np.empty((order.size, 2, 2))
@@ -165,6 +146,12 @@ def _project(scene: GaussianScene, cam: CameraModel) -> Projection:
         orig_idx=idx[order],
         p_cam=p_cam[order],
         mean2d=mean2d[order],
+        jac=J[order],
+        jac_r=A[order],
+        rot=rot[order],
+        scale=scale[order],
+        rs=rs[order],
+        sigma=sigma[order],
         cov2d=cov2d[order],
         cov2d_inv=inv,
         depth=z[order],
@@ -336,7 +323,8 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
 
 def render(scene: GaussianScene, cam: CameraModel, *,
            keep_tape: bool = False, compute_depth: bool = False) -> RenderOutput:
-    """Render the scene from a camera; optionally keep state for render_backward.
+    """Render the scene from a camera; optionally keep state for render_backward
+    and add the alpha-blended expected camera-space depth (background depth 0).
 
     An empty (or fully culled) scene renders the pure background with unit
     transmittance.  The output satisfies
@@ -344,32 +332,9 @@ def render(scene: GaussianScene, cam: CameraModel, *,
     """
     proj = _project(scene, cam)
     w, h = cam.width, cam.height
-    if len(proj.orig_idx) == 0:
-        img = np.full((h, w), float(scene.background))
-        depth = np.zeros((h, w)) if compute_depth else None
-        tape = None
-        if keep_tape:
-            tape = RenderTape(proj, np.zeros(1, dtype=np.int64),
-                              np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32),
-                              np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0),
-                              np.zeros(0, dtype=bool), np.ones(h * w), w, h)
-        return RenderOutput(img, np.ones((h, w)), depth, tape)
-
     colors = scene.intensities[proj.orig_idx]
     depths = proj.depth if compute_depth else None
     image, t_final, depth_img, tape_parts = _composite(
         proj, colors, float(scene.background), w, h, keep_tape, extra_weights=depths)
-
-    tape = None
-    if keep_tape:
-        offs, pix, gi, dx, dy, alpha, t_before, live, tf = tape_parts
-        tape = RenderTape(proj, offs, pix, gi, dx, dy, alpha, t_before, live, tf, w, h)
+    tape = RenderTape(proj, *tape_parts, w, h) if keep_tape else None
     return RenderOutput(image, t_final, depth_img, tape)
-
-
-def render_depth(scene: GaussianScene, cam: CameraModel) -> np.ndarray:
-    """Alpha-blended expected camera-space depth; background depth is 0."""
-    out = render(scene, cam, compute_depth=True)
-    if out.depth is None:
-        return np.zeros((cam.height, cam.width))
-    return out.depth

@@ -15,14 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quat import quat_to_rot
-
 CHECKPOINT_MAGIC = b"EGS1"
 _FLOATS_PER_GAUSSIAN = 14   # mean 3, quat 4, log_scale 3, opacity_logit 1, intensity 1, pad 2
 
 
 class Gaussian3D(NamedTuple):
-    """One Gaussian's parameters (convenience view; scenes store arrays)."""
+    """One Gaussian's parameters, as GaussianScene.from_gaussians takes them."""
 
     mean: np.ndarray
     rotation: np.ndarray      # quaternion (w, x, y, z)
@@ -64,10 +62,6 @@ class GaussianScene:
     def scales(self) -> np.ndarray:
         return np.exp(self.log_scales)
 
-    def gaussian(self, i: int) -> Gaussian3D:
-        return Gaussian3D(self.means[i], self.quats[i], self.log_scales[i],
-                          float(self.opacity_logits[i]), float(self.intensities[i]))
-
     def copy(self) -> "GaussianScene":
         return GaussianScene(self.means.copy(), self.quats.copy(),
                              self.log_scales.copy(), self.opacity_logits.copy(),
@@ -88,21 +82,6 @@ class GaussianScene:
     def empty(cls, background: float = 0.0) -> "GaussianScene":
         z = np.zeros((0, 3))
         return cls(z, np.zeros((0, 4)), z.copy(), np.zeros(0), np.zeros(0), background)
-
-
-def covariance_3d(rotation: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
-    """Sigma = R S S^T R^T with S = diag(exp(log_scale)); accepts (4,)/(3,) or batches.
-
-    Built as M M^T with M = R S, so the result is exactly symmetric (each
-    mirrored entry sums the same commutative products).
-    """
-    rotation = np.asarray(rotation, dtype=np.float64)
-    log_scale = np.asarray(log_scale, dtype=np.float64)
-    single = rotation.ndim == 1
-    R = quat_to_rot(np.atleast_2d(rotation))
-    M = R * np.exp(np.atleast_2d(log_scale))[:, None, :]
-    sigma = np.einsum("nij,nkj->nik", M, M)
-    return sigma[0] if single else sigma
 
 
 def save_scene(path: str, scene: GaussianScene) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .backward import GradientBuffer, render_backward
-from .camera import Trajectory, CameraModel, pose_at_time
+from .camera import Trajectory, pose_at_time
 from .events import EventModelConfig, EventStream, accumulate_events, log_intensity
 from .exposure import ExposureFrame
 from .losses import combined_loss, exposure_loss, log_intensity_upstream, motion_event_loss
@@ -43,24 +43,12 @@ SPLIT_SCALE_SHRINK = 1.6
 class SamplerConfig:
     n_windows: int = 200
     l_max: float = 1.0e6    # window length cap, same time units as the event stream
-    pixel_subset: int = 0   # 0 compares the full frame; > 0 samples that many pixels
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_windows < 1:
             raise ValueError("n_windows must be >= 1")
         if self.l_max <= 0:
             raise ValueError("l_max must be > 0")
-        if self.pixel_subset < 0:
-            raise ValueError("pixel_subset must be >= 0")
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    t0: float
-    t1: float
-    cam0: CameraModel
-    cam1: CameraModel
 
 
 @dataclass(frozen=True)
@@ -75,9 +63,8 @@ class DensifyConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Mode plus schedule; unset iteration count / learning rate fall back to
-    the mode defaults (fast: 10k iters at 1.6e-5, hq and hybrid: 30k at 1.6e-4,
-    all with a 500-iteration warmup)."""
+    """Mode plus schedule; unset iterations / lr_initial take the mode's
+    MODE_ITERATIONS / MODE_LR."""
 
     mode: str = "hybrid"
     iterations: int | None = None
@@ -92,6 +79,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODE_LAMBDA:
             raise ValueError(f"unknown mode: {self.mode!r}")
+        iters = MODE_ITERATIONS[self.mode] if self.iterations is None else self.iterations
+        if not iters > self.warmup_iters >= 0:
+            raise ValueError(f"require iterations ({iters}) > warmup_iters "
+                             f"({self.warmup_iters}) >= 0")
 
     @property
     def lambda_weight(self) -> float:
@@ -103,8 +94,6 @@ class TrainConfig:
             cfg = replace(cfg, iterations=MODE_ITERATIONS[cfg.mode])
         if cfg.lr_initial is None:
             cfg = replace(cfg, lr_initial=MODE_LR[cfg.mode])
-        if not cfg.iterations > cfg.warmup_iters >= 0:
-            raise ValueError("require iterations > warmup_iters >= 0")
         return cfg
 
 
@@ -336,6 +325,7 @@ def train(data: TrainData, config: TrainConfig):
     pos_accum = np.zeros(len(scene))
     touch_accum = np.zeros(len(scene))
     log: list[dict] = []
+    psnr_eval = None
     t_start = time.perf_counter()
 
     for it in range(1, cfg.iterations + 1):
@@ -353,18 +343,11 @@ def train(data: TrainData, config: TrainConfig):
             gt = accumulate_events(data.events, t0, t1, data.event_config)
             out0 = render(scene, cam0, keep_tape=True)
             out1 = render(scene, cam1, keep_tape=True)
-            pred = log_intensity(out1.image, data.event_config) \
-                - log_intensity(out0.image, data.event_config)
-            subset = cfg.sampler.pixel_subset
-            if subset and subset < pred.size:
-                idx = rng.choice(pred.size, size=subset, replace=False)
-                res = motion_event_loss(pred.reshape(-1)[idx],
-                                        gt.values.reshape(-1)[idx])
-                grad = np.zeros(pred.size)
-                grad[idx] = res.grad
-                res = res._replace(grad=grad.reshape(pred.shape))
-            else:
-                res = motion_event_loss(pred, gt)
+            # Adam can drive intensities, and so rendered pixels, below 0;
+            # those sit under the log floor and pass no gradient
+            pred = log_intensity(np.maximum(out1.image, 0.0), data.event_config) \
+                - log_intensity(np.maximum(out0.image, 0.0), data.event_config)
+            res = motion_event_loss(pred, gt)
             if not res.skip:
                 l_evs = res.value
                 up1 = log_intensity_upstream(out1.image, res.grad, data.event_config)
@@ -400,12 +383,15 @@ def train(data: TrainData, config: TrainConfig):
                         "elapsed_s": round(time.perf_counter() - t_start, 3)})
         if (cfg.eval_interval > 0 and data.eval_frames
                 and (it % cfg.eval_interval == 0 or it == cfg.iterations)):
-            log.append({"iter": it, "psnr_eval": _eval_psnr(scene, data)})
+            psnr_eval = _eval_psnr(scene, data)
+            log.append({"iter": it, "psnr_eval": psnr_eval})
 
     summary = {"event": "final", "iterations": cfg.iterations, "mode": cfg.mode,
                "count": len(scene),
                "elapsed_s": round(time.perf_counter() - t_start, 3)}
     if data.eval_frames:
-        summary["psnr_eval"] = _eval_psnr(scene, data)
+        # the loop's evaluation at the last iteration, when there was one
+        summary["psnr_eval"] = (_eval_psnr(scene, data) if psnr_eval is None
+                                else psnr_eval)
     log.append(summary)
     return scene, log

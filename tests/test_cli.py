@@ -9,6 +9,9 @@ from evsplat.dataset import read_events, read_pnm, write_events, write_pnm
 from evsplat.events import EventStream
 
 
+TRAIN_FAST = ["train", "--data", "d", "--mode", "fast"]
+
+
 def parse(argv):
     return parse_args(argv)
 
@@ -17,8 +20,8 @@ class TestParseArgs:
     def test_train_fast_mode(self, tmp_path):
         cmd = parse(["train", "--data", "d", "--mode", "fast", "--out", str(tmp_path)])
         assert cmd.subcommand == "train"
-        assert cmd.mode == "fast"
-        assert cmd.seed == 0
+        assert cmd.config.mode == "fast"
+        assert cmd.config.seed == 0
 
     def test_mode_defaults_follow_schedules(self):
         from evsplat.training import MODE_ITERATIONS, MODE_LAMBDA, MODE_LR, TrainConfig
@@ -42,13 +45,25 @@ class TestParseArgs:
             parse(["train", "--data", "d", "--mode", "warp", "--out", "o"])
         assert exc.value.code == 2
 
-    def test_unknown_config_key_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, doc, named", [
+        (TRAIN_FAST, {"bogus_key": 1}, "bogus_key"),
+        (TRAIN_FAST + ["--set", "densify.bogus=1"], {}, "densify.bogus"),
+        (TRAIN_FAST + ["--set", "init.bogus=1"], {}, "init.bogus"),
+        (["map-exposure", "--set", "events=e.evt1", "--set", "profile.bogus=1"], {},
+         "profile.bogus"),
+        (TRAIN_FAST + ["--set", "sampler.n_windows=0"], {}, "n_windows"),
+        (TRAIN_FAST + ["--set", "iterations=3"], {}, "warmup_iters"),
+        (["make-synthetic", "--set", "resolution=5"], {}, "resolution"),
+        (TRAIN_FAST + ["--set", "seed=1"], [1], "JSON object"),
+    ], ids=["bogus_key", "densify.bogus", "init.bogus", "profile.bogus",
+            "sampler.n_windows", "iterations", "resolution", "list_file"])
+    def test_unknown_config_key_exits_two(self, argv, doc, named, tmp_path, capsys):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"bogus_key": 1}))
+        cfg.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exc:
-            parse(["train", "--data", "d", "--mode", "fast", "--out", "o",
-                   "--config", str(cfg)])
+            parse(argv + ["--out", "o", "--config", str(cfg)])
         assert exc.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_unreadable_config_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -58,12 +73,13 @@ class TestParseArgs:
 
     def test_overrides_win_over_file(self, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"iterations": 50, "densify": {"interval": 100}}))
+        cfg.write_text(json.dumps({"iterations": 50, "warmup_iters": 5,
+                                   "densify": {"interval": 100}}))
         cmd = parse(["train", "--data", "d", "--mode", "fast", "--out", "o",
                      "--config", str(cfg), "--set", "iterations=75",
                      "--set", "densify.interval=10"])
-        assert cmd.config["iterations"] == 75
-        assert cmd.config["densify"]["interval"] == 10
+        assert cmd.config.iterations == 75
+        assert cmd.config.densify.interval == 10
 
 
 @pytest.fixture(scope="module")
@@ -121,10 +137,11 @@ class TestPipeline:
         json.dump(manifest, open(os.path.join(broken, "manifest.json"), "w"))
         out_dir = str(tmp_path / "runx")
         code = run(parse(["train", "--data", broken, "--mode", "fast",
-                          "--out", out_dir, "--set", "iterations=5"]))
+                          "--out", out_dir, "--set", "iterations=5",
+                          "--set", "warmup_iters=1"]))
         assert code == 1
         assert not os.path.exists(os.path.join(out_dir, "scene.egs"))
-        assert "error" in capsys.readouterr().err
+        assert "requires an event stream" in capsys.readouterr().err
 
     def test_render_bad_frame_exits_one(self, tiny_dataset, tmp_path, capsys):
         code = run(parse(["render", "--data", tiny_dataset, "--checkpoint",

@@ -85,7 +85,7 @@ class TestEventFormat:
             f.write("t,x,y,p\n10,1,2,1\n20,3,0,-1\n")
         s = read_events(path)
         assert len(s) == 2
-        assert s[1] == (3, 0, 20, -1)
+        assert (s.x[1], s.y[1], s.t[1], s.p[1]) == (3, 0, 20, -1)
 
     def test_csv_bad_polarity(self, tmp_path):
         path = str(tmp_path / "e.csv")

@@ -74,7 +74,7 @@ class TestExtractIpe:
 
     def test_empty_all_invalid(self):
         tm = extract_ipe(EventStream.empty((3, 3)), 0)
-        assert not tm.valid.any()
+        assert not np.isfinite(tm.t_star).any()
 
     def test_events_before_open_ignored(self):
         s = EventStream.create((1, 1), [0, 0], [0, 0], [100, 500], [1, 1])

@@ -3,12 +3,14 @@ import pytest
 
 from conftest import random_scene, small_camera
 
-from evsplat.camera import CameraModel
-from evsplat.events import DeltaLogMap, EventModelConfig
+from evsplat import training
+from evsplat.camera import KeyframeTrajectory
+from evsplat.events import DeltaLogMap, EventModelConfig, EventStream
 from evsplat.exposure import ExposureFrame
 from evsplat.losses import (combined_loss, exposure_loss, log_intensity_upstream,
-                            motion_event_loss, predicted_delta_log)
-from evsplat.training import WindowSpec
+                            motion_event_loss)
+from evsplat.scene import Gaussian3D, GaussianScene
+from evsplat.training import DensifyConfig, SamplerConfig, TrainConfig, TrainData
 
 
 class TestMotionEventLoss:
@@ -138,35 +140,47 @@ class TestCombinedLoss:
             combined_loss(0.0, 0.0, 1.5)
 
 
+def fast_branch_delta_log(monkeypatch, scene, cam0, cam1):
+    """The predicted log change train's fast branch hands the motion loss for
+    a window from cam0's pose to cam1's."""
+    traj = KeyframeTrajectory(cam0, [0.0, 1.0], [cam0.R, cam1.R], [cam0.t, cam1.t])
+    events = EventStream.create((cam0.width, cam0.height), [0], [0], [500_000], [1])
+    preds = []
+    real = training.motion_event_loss
+    monkeypatch.setattr(training, "motion_event_loss",
+                        lambda pred, gt: preds.append(pred) or real(pred, gt))
+    # one window ending at the span; l_max far beyond it clamps its start to 0
+    cfg = TrainConfig(mode="fast", iterations=1, warmup_iters=0,
+                      densify=DensifyConfig(start_iter=10**9),
+                      sampler=SamplerConfig(n_windows=1, l_max=1e12), log_interval=0)
+    training.train(TrainData(trajectory=traj, span=1.0, init_scene=scene, events=events,
+                             scene_extent=1.0), cfg)
+    assert len(preds) == 1
+    return preds[0]
+
+
 class TestPredictedDeltaLog:
-    def test_same_pose_zero(self, rng):
-        scene = random_scene(rng, 6)
+    def test_same_pose_zero(self, rng, monkeypatch):
         cam = small_camera()
-        w = WindowSpec(0.0, 1.0, cam, cam)
-        out = predicted_delta_log(scene, w, EventModelConfig())
-        np.testing.assert_array_equal(out.values, 0.0)
+        out = fast_branch_delta_log(monkeypatch, random_scene(rng, 6), cam, cam)
+        np.testing.assert_array_equal(out, 0.0)
 
-    def test_empty_scene_zero(self):
-        from evsplat.scene import GaussianScene
-        scene = GaussianScene.empty(background=0.5)
+    def test_empty_scene_zero(self, monkeypatch):
         cam0 = small_camera()
-        cam1 = CameraModel(fx=40.0, fy=40.0, cx=7.5, cy=7.5, width=16, height=16,
-                           R=np.eye(3), t=np.array([0.1, 0.0, 0.0]))
-        out = predicted_delta_log(scene, WindowSpec(0.0, 1.0, cam0, cam1),
-                                  EventModelConfig())
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
+        cam1 = cam0.with_pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
+        out = fast_branch_delta_log(monkeypatch, GaussianScene.empty(background=0.5),
+                                    cam0, cam1)
+        np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
-    def test_gaussian_leaving_footprint_negative(self):
+    def test_gaussian_leaving_footprint_negative(self, monkeypatch):
         # bright gaussian visible from cam0, shifted out of a pixel at cam1
-        from evsplat.scene import Gaussian3D, GaussianScene
         g = Gaussian3D(np.array([0.0, 0.0, 2.0]), np.array([1.0, 0, 0, 0]),
                        np.log([0.06] * 3), 4.0, 1.0)
         scene = GaussianScene.from_gaussians([g], background=0.05)
         cam0 = small_camera()
         cam1 = cam0.with_pose(cam0.R, cam0.t + np.array([0.8, 0.0, 0.0]))
-        out = predicted_delta_log(scene, WindowSpec(0.0, 1.0, cam0, cam1),
-                                  EventModelConfig())
-        assert out.values[8, 8] < 0
+        out = fast_branch_delta_log(monkeypatch, scene, cam0, cam1)
+        assert out[8, 8] < 0
 
     def test_log_upstream_chain(self, rng):
         cfg = EventModelConfig()

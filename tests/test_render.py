@@ -1,11 +1,13 @@
+import types
+
 import numpy as np
 import pytest
 
 from conftest import random_scene, reference_render, small_camera
 
 from evsplat.camera import CameraModel
-from evsplat.quat import quat_multiply, quat_normalize, quat_to_rot
-from evsplat.render import COV2D_DILATION, project_gaussian, render, render_depth
+from evsplat.quat import quat_normalize, quat_to_rot, rot_to_quat
+from evsplat.render import COV2D_DILATION, _project, render
 from evsplat.scene import Gaussian3D, GaussianScene
 
 
@@ -19,25 +21,24 @@ def single_gaussian_scene(mean=(0.0, 0.0, 2.0), logit=12.0, intensity=0.8,
 class TestProjection:
     def test_axis_aligned_example(self):
         # camera-frame mean (0,0,2), fx = fy = 100, unit covariance
-        g = Gaussian3D(np.array([0.0, 0.0, 2.0]), np.array([1.0, 0, 0, 0]),
-                       np.zeros(3), 0.0, 1.0)
+        scene = single_gaussian_scene(mean=(0.0, 0.0, 2.0), logit=0.0, scale=1.0)
         cam = CameraModel(fx=100.0, fy=100.0, cx=8.0, cy=8.0, width=16, height=16)
-        mean2d, cov2d, depth = project_gaussian(g, cam)
-        np.testing.assert_allclose(mean2d, [8.0, 8.0])
-        np.testing.assert_allclose(cov2d, np.diag([2500.0 + COV2D_DILATION] * 2))
-        assert depth == 2.0
+        proj = _project(scene, cam)
+        np.testing.assert_array_equal(proj.orig_idx, [0])
+        np.testing.assert_allclose(proj.mean2d[0], [8.0, 8.0])
+        np.testing.assert_allclose(proj.jac[0], [[50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
+        np.testing.assert_allclose(proj.sigma[0], np.eye(3))
+        np.testing.assert_allclose(proj.cov2d[0], np.diag([2500.0 + COV2D_DILATION] * 2))
+        assert proj.depth[0] == 2.0
 
     def test_optical_axis_hits_principal_point(self):
-        g = Gaussian3D(np.array([0.0, 0.0, 3.7]), np.array([1.0, 0, 0, 0]),
-                       np.log([0.1] * 3), 0.0, 1.0)
+        scene = single_gaussian_scene(mean=(0.0, 0.0, 3.7), logit=0.0, scale=0.1)
         cam = CameraModel(fx=55.0, fy=44.0, cx=3.25, cy=9.5, width=16, height=16)
-        mean2d, _, _ = project_gaussian(g, cam)
-        np.testing.assert_allclose(mean2d, [3.25, 9.5])
+        np.testing.assert_allclose(_project(scene, cam).mean2d, [[3.25, 9.5]])
 
     def test_behind_camera_culled(self):
-        g = Gaussian3D(np.array([0.0, 0.0, -1.0]), np.array([1.0, 0, 0, 0]),
-                       np.zeros(3), 0.0, 1.0)
-        assert project_gaussian(g, small_camera()) is None
+        scene = single_gaussian_scene(mean=(0.0, 0.0, -1.0), logit=0.0, scale=1.0)
+        assert len(_project(scene, small_camera()).orig_idx) == 0
 
 
 class TestRenderForward:
@@ -100,7 +101,7 @@ class TestRenderForward:
         Q = quat_to_rot(axis)
         rotated = GaussianScene(
             scene.means @ Q.T,
-            np.array([quat_multiply(axis, q) for q in scene.quats]),
+            np.array([rot_to_quat(Q @ quat_to_rot(q)) for q in scene.quats]),
             scene.log_scales, scene.opacity_logits, scene.intensities,
             scene.background)
         cam_rot = cam.with_pose(cam.R @ Q.T, cam.t)
@@ -128,13 +129,14 @@ class TestRenderForward:
 
 class TestRenderDepth:
     def test_empty_scene_sentinel(self):
-        depth = render_depth(GaussianScene.empty(background=0.7), small_camera())
+        depth = render(GaussianScene.empty(background=0.7), small_camera(),
+                       compute_depth=True).depth
         np.testing.assert_array_equal(depth, np.zeros((16, 16)))
 
     def test_single_opaque_gaussian_depth(self):
         scene = single_gaussian_scene(mean=(0.0, 0.0, 2.0), logit=12.0)
         cam = CameraModel(fx=40.0, fy=40.0, cx=8.0, cy=8.0, width=16, height=16)
-        depth = render_depth(scene, cam)
+        depth = render(scene, cam, compute_depth=True).depth
         assert depth[8, 8] == pytest.approx(2.0, abs=5e-3)
 
     def test_front_depth_dominates(self):
@@ -144,5 +146,10 @@ class TestRenderDepth:
                          np.log([0.1] * 3), 12.0, 1.0)]
         scene = GaussianScene.from_gaussians(gs, background=0.0)
         cam = CameraModel(fx=40.0, fy=40.0, cx=8.0, cy=8.0, width=16, height=16)
-        depth = render_depth(scene, cam)
+        depth = render(scene, cam, compute_depth=True).depth
         assert depth[8, 8] == pytest.approx(2.0, abs=1e-2)
+
+
+def test_render_module_is_not_shadowed():
+    import evsplat.render as R
+    assert isinstance(R, types.ModuleType)

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_scene
 
+from evsplat import training
 from evsplat.backward import GradientBuffer
 from evsplat.dataset import init_point_cloud
 from evsplat.events import EventModelConfig, EventStream
@@ -270,16 +273,27 @@ class TestTrainLoop:
         losses = [r["l_img"] for r in log if "l_img" in r]
         assert losses[-1] < losses[0]
 
-    def test_pixel_subset_option_runs_and_differs(self, rng):
-        data = tiny_train_data(np.random.default_rng(3))
-        full = tiny_config("fast")
-        sub = TrainConfig(mode="fast", iterations=8, warmup_iters=2,
-                          densify=DensifyConfig(interval=4, start_iter=4, stop_iter=6,
-                                                grad_threshold=1e9),
-                          sampler=SamplerConfig(n_windows=8, l_max=5e5,
-                                                pixel_subset=64),
-                          seed=0, log_interval=4)
-        scene_full, _ = train(data, full)
-        data2 = tiny_train_data(np.random.default_rng(3))
-        scene_sub, _ = train(data2, sub)
-        assert not np.array_equal(scene_full.means, scene_sub.means)
+    def test_fast_mode_survives_negative_renders(self):
+        # negative intensities render below 0; the log transform used to raise
+        for seed in range(3):
+            data = tiny_train_data(np.random.default_rng(seed))
+            data.init_scene.intensities[:] = -0.5
+            data.init_scene.opacity_logits[:] = 3.0
+            scene, log = train(data, tiny_config("fast", iters=3))
+            assert log[-1]["iterations"] == 3
+            assert np.all(np.isfinite(scene.means))
+
+    def test_final_summary_reuses_last_evaluation(self, rng, monkeypatch):
+        data = tiny_train_data(rng, with_events=False)
+        data = replace(data, eval_frames=[(k, f.image)
+                                          for k, f in enumerate(data.exposure_frames)])
+        calls = []
+        real = training.render
+        monkeypatch.setattr(training, "render",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        cfg = replace(tiny_config("hq", iters=20), eval_interval=10)
+        _, log = train(data, cfg)
+        # one render per hq iteration, four views at iterations 10 and 20
+        assert len(calls) == 28
+        evals = [r["psnr_eval"] for r in log if "psnr_eval" in r]
+        assert evals[-1] == evals[-2]
