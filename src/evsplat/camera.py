@@ -123,10 +123,8 @@ class KeyframeTrajectory:
     def pose_at(self, t: float) -> CameraModel:
         times = self.times
         t = float(np.clip(t, times[0], times[-1]))
+        # t is clipped into the span, so hi >= 1
         hi = int(np.searchsorted(times, t, side="right"))
-        if hi <= 0:
-            idx = 0
-            return self.camera.with_pose(self.rotations[idx], self.translations[idx])
         if hi >= len(times):
             idx = len(times) - 1
             return self.camera.with_pose(self.rotations[idx], self.translations[idx])

@@ -25,8 +25,6 @@ from .render import render
 from .scene import load_scene, save_scene
 from .training import TrainConfig, TrainData, train
 
-THREADS_ENV = "EVSPLAT_THREADS"
-
 
 @dataclass(frozen=True)
 class SimulateConfig:
@@ -144,20 +142,15 @@ def _apply_override(config: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _build_config(subcommand: str, config: dict, seed: int, mode: str | None):
-    if subcommand in ("render", "eval"):
-        if config:
-            raise ValueError(f"{subcommand} takes no config keys, got {sorted(config)}")
-        return None
-    cls, fixed = {
-        "make-synthetic": (dio.SyntheticSceneSpec, {"gaussians": None}),  # built-in toy
-        "simulate": (SimulateConfig, {}),
-        "map-exposure": (MapExposureConfig, {}),
-        "train": (TrainJob, {"mode": mode}),
-    }[subcommand]
-    if any(f.name == "seed" for f in fields(cls)):
-        config = {"seed": seed, **config}
-    return _from_config(cls, config, **fixed)
+# config dataclass of each subcommand that takes config keys, with the fields
+# set apart from the config; a subcommand whose dataclass has a seed field
+# also takes --seed
+_CONFIGS = {
+    "make-synthetic": (dio.SyntheticSceneSpec, {"gaussians": None}),  # built-in toy
+    "simulate": (SimulateConfig, {}),
+    "map-exposure": (MapExposureConfig, {}),
+    "train": (TrainJob, {}),
+}
 
 
 def parse_args(argv) -> Command:
@@ -166,37 +159,48 @@ def parse_args(argv) -> Command:
         description="Event-based Gaussian splatting: simulation, training, evaluation.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, out_required=True):
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="dotted config override")
-        p.add_argument("--out", default=("." if not out_required else None),
-                       required=out_required, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+    def add(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", required=True, help="output directory")
+        if name in _CONFIGS:
+            p.add_argument("--config", default=None, help="JSON config file")
+            p.add_argument("--set", dest="overrides", action="append", default=[],
+                           metavar="KEY=VALUE", help="dotted config override")
+            if any(f.name == "seed" for f in fields(_CONFIGS[name][0])):
+                p.add_argument("--seed", type=int, default=0)
+        return p
 
-    common(sub.add_parser("make-synthetic", help="generate a synthetic turntable dataset"))
-    common(sub.add_parser("simulate", help="simulate motion events from frames"))
-    common(sub.add_parser("map-exposure", help="map exposure events to a grayscale frame"))
+    add("make-synthetic", "generate a synthetic turntable dataset")
+    add("simulate", "simulate motion events from frames")
+    add("map-exposure", "map exposure events to a grayscale frame")
 
-    p_train = sub.add_parser("train", help="optimize a scene from a dataset")
-    common(p_train)
+    p_train = add("train", "optimize a scene from a dataset")
     p_train.add_argument("--data", required=True, help="dataset directory")
     p_train.add_argument("--mode", required=True, choices=["fast", "hq", "hybrid"])
 
-    p_render = sub.add_parser("render", help="render one frame from a checkpoint")
-    common(p_render)
+    p_render = add("render", "render one frame from a checkpoint")
     p_render.add_argument("--data", required=True)
     p_render.add_argument("--checkpoint", required=True)
     p_render.add_argument("--frame", type=int, required=True)
     p_render.add_argument("--depth", action="store_true")
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint against a dataset split")
-    common(p_eval)
+    p_eval = add("eval", "evaluate a checkpoint against a dataset split")
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", choices=["given", "novel", "both"], default="both")
 
     args = parser.parse_args(argv)
+    settings = _build_config(parser, args) if args.subcommand in _CONFIGS else None
+    return Command(
+        subcommand=args.subcommand, config=settings, out=args.out,
+        data=getattr(args, "data", None), checkpoint=getattr(args, "checkpoint", None),
+        frame=getattr(args, "frame", None),
+        split=getattr(args, "split", "both"), depth=getattr(args, "depth", False))
+
+
+def _build_config(parser, args):
+    """The subcommand's config dataclass from --config, --set and --seed;
+    exits 2 through the parser on any config error."""
     config = {}
     if args.config:
         try:
@@ -206,20 +210,18 @@ def parse_args(argv) -> Command:
             parser.error(f"unreadable config {args.config!r}: {exc}")
         if not isinstance(config, dict):
             parser.error(f"config {args.config!r} must hold a JSON object")
+    cls, fixed = _CONFIGS[args.subcommand]
+    if hasattr(args, "mode"):
+        fixed = {**fixed, "mode": args.mode}
     try:
         for item in args.overrides:
             key, value = _parse_override(item)
             _apply_override(config, key, value)
-        settings = _build_config(args.subcommand, config, args.seed,
-                                 getattr(args, "mode", None))
+        if hasattr(args, "seed"):
+            config = {"seed": args.seed, **config}
+        return _from_config(cls, config, **fixed)
     except ValueError as exc:
         parser.error(str(exc))
-
-    return Command(
-        subcommand=args.subcommand, config=settings, out=args.out,
-        data=getattr(args, "data", None), checkpoint=getattr(args, "checkpoint", None),
-        frame=getattr(args, "frame", None),
-        split=getattr(args, "split", "both"), depth=getattr(args, "depth", False))
 
 
 class _OutputLock:
@@ -297,15 +299,13 @@ def make_train_data(loaded: dio.LoadedDataset, init_scene, event_cfg=None) -> Tr
     else:
         eval_frames = [(f.pose_id, f.image) for f in loaded.exposure_frames
                        if f.pose_id in set(novel)]
-    traj = loaded.trajectory
-    extent = getattr(traj, "radius", None)
-    span = getattr(traj, "span", loaded.pose_times[-1] if loaded.pose_times else 1.0)
+    traj = manifest.trajectory
     return TrainData(
-        trajectory=traj, span=float(span), init_scene=init_scene,
+        trajectory=traj, span=float(traj.span), init_scene=init_scene,
         events=loaded.events, exposure_frames=frames,
-        pose_times=loaded.pose_times, eval_frames=eval_frames,
+        pose_times=manifest.pose_times, eval_frames=eval_frames,
         event_config=event_cfg or EventModelConfig(),
-        scene_extent=extent)
+        scene_extent=getattr(traj, "radius", None))
 
 
 def _run_train(cmd: Command) -> int:
@@ -340,10 +340,10 @@ def _run_train(cmd: Command) -> int:
 
 def _run_render(cmd: Command) -> int:
     scene = load_scene(cmd.checkpoint)
-    loaded = dio.load_dataset(cmd.data)
-    if not 0 <= cmd.frame < len(loaded.pose_times):
+    manifest = dio.load_dataset(cmd.data).manifest
+    if not 0 <= cmd.frame < len(manifest.pose_times):
         raise RuntimeError(f"frame {cmd.frame} outside pose table")
-    cam = pose_at_time(loaded.trajectory, loaded.pose_times[cmd.frame])
+    cam = pose_at_time(manifest.trajectory, manifest.pose_times[cmd.frame])
     out = render(scene, cam, compute_depth=cmd.depth)
     img_path = os.path.join(cmd.out, f"render_{cmd.frame:03d}.pnm")
     dio.write_pnm(img_path, out.image)
@@ -372,7 +372,7 @@ def _run_eval(cmd: Command) -> int:
         for pose_id in ids:
             if pose_id not in gt:
                 continue
-            cam = pose_at_time(loaded.trajectory, loaded.pose_times[pose_id])
+            cam = pose_at_time(manifest.trajectory, manifest.pose_times[pose_id])
             img = render(scene, cam).image
             rep.add(pose_id, psnr(img, gt[pose_id]), ssim(img, gt[pose_id]))
         print(f"split {name}:")
@@ -396,10 +396,6 @@ _RUNNERS = {
 
 def run(cmd: Command) -> int:
     """Execute a parsed command; 0 on success, 1 on runtime failure."""
-    threads = os.environ.get(THREADS_ENV)
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     try:
         os.makedirs(cmd.out, exist_ok=True)
         with _OutputLock(cmd.out):

@@ -55,20 +55,6 @@ def write_events(path: str, stream: EventStream) -> None:
         f.write(rec.tobytes())
 
 
-def _validate_events(t, x, y, p, w, h) -> None:
-    if len(t) == 0:
-        return
-    bad = np.flatnonzero(np.diff(t) < 0)
-    if bad.size:
-        raise FormatError(f"unsorted timestamp at record {int(bad[0]) + 1}")
-    bad = np.flatnonzero((p != 1) & (p != -1))
-    if bad.size:
-        raise FormatError(f"invalid polarity at record {int(bad[0])}")
-    bad = np.flatnonzero((x < 0) | (x >= w) | (y < 0) | (y >= h))
-    if bad.size:
-        raise FormatError(f"out-of-bounds coordinates at record {int(bad[0])}")
-
-
 def read_events(path: str, resolution: tuple[int, int] | None = None) -> EventStream:
     """Read an EVT1 file, or CSV when the extension is .csv.
 
@@ -76,27 +62,30 @@ def read_events(path: str, resolution: tuple[int, int] | None = None) -> EventSt
     maxima unless an explicit resolution is provided.
     """
     if str(path).lower().endswith(".csv"):
-        return _read_events_csv(path, resolution)
-    with open(path, "rb") as f:
-        head = f.read(16)
-        if len(head) < 16 or head[:4] != EVENT_MAGIC:
-            raise FormatError(f"bad magic in {path!r}")
-        w = int(np.frombuffer(head[4:6], dtype="<u2")[0])
-        h = int(np.frombuffer(head[6:8], dtype="<u2")[0])
-        n = int(np.frombuffer(head[8:16], dtype="<u8")[0])
-        body = f.read(n * EVENT_RECORD.itemsize)
-    if len(body) != n * EVENT_RECORD.itemsize:
-        raise FormatError(f"truncated event body (expected {n} records)")
-    rec = np.frombuffer(body, dtype=EVENT_RECORD)
-    t = rec["t"].astype(np.int64)
-    x = rec["x"].astype(np.int32)
-    y = rec["y"].astype(np.int32)
-    p = rec["p"].astype(np.int8)
-    _validate_events(t, x, y, p, w, h)
-    return EventStream.create((w, h), x, y, t, p)
+        resolution, t, x, y, p = _read_events_csv(path, resolution)
+    else:
+        with open(path, "rb") as f:
+            head = f.read(16)
+            if len(head) < 16 or head[:4] != EVENT_MAGIC:
+                raise FormatError(f"bad magic in {path!r}")
+            w = int(np.frombuffer(head[4:6], dtype="<u2")[0])
+            h = int(np.frombuffer(head[6:8], dtype="<u2")[0])
+            n = int(np.frombuffer(head[8:16], dtype="<u8")[0])
+            body = f.read(n * EVENT_RECORD.itemsize)
+        if len(body) != n * EVENT_RECORD.itemsize:
+            raise FormatError(f"truncated event body (expected {n} records)")
+        rec = np.frombuffer(body, dtype=EVENT_RECORD)
+        resolution = (w, h)
+        t, x, y, p = (rec["t"].astype(np.int64), rec["x"].astype(np.int32),
+                      rec["y"].astype(np.int32), rec["p"].astype(np.int8))
+    # EventStream.create names the first record that breaks an invariant
+    try:
+        return EventStream.create(resolution, x, y, t, p)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
-def _read_events_csv(path: str, resolution) -> EventStream:
+def _read_events_csv(path: str, resolution):
     rows = []
     with open(path, "r") as f:
         for ln, line in enumerate(f):
@@ -111,14 +100,12 @@ def _read_events_csv(path: str, resolution) -> EventStream:
             except ValueError as exc:
                 raise FormatError(f"non-integer field at line {ln}") from exc
     arr = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    t, x, y, p = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    t, x, y, p = arr.T
     if resolution is None:
         if len(arr) == 0:
             raise FormatError("cannot infer resolution from an empty CSV")
         resolution = (int(x.max()) + 1, int(y.max()) + 1)
-    _validate_events(t, x, y, p, resolution[0], resolution[1])
-    return EventStream.create(resolution, x.astype(np.int32), y.astype(np.int32),
-                              t, p.astype(np.int8))
+    return resolution, t, x, y, p
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +546,10 @@ def write_dataset(out_dir: str, ds: SyntheticDataset) -> None:
 @dataclass
 class LoadedDataset:
     manifest: SceneManifest
-    trajectory: Trajectory
-    pose_times: list[float]
     events: EventStream | None
     exposure_frames: list[ExposureFrame]
     gt_frames: dict[int, np.ndarray]
     init_cloud: PointCloud | None
-    root: str
 
 
 def load_dataset(root: str) -> LoadedDataset:
@@ -584,5 +568,4 @@ def load_dataset(root: str) -> LoadedDataset:
           for e in manifest.gt_frames}
     cloud_path = os.path.join(root, "init_points.ply")
     init_cloud = read_ply_points(cloud_path) if os.path.exists(cloud_path) else None
-    return LoadedDataset(manifest, manifest.trajectory, manifest.pose_times,
-                         events, frames, gt, init_cloud, root)
+    return LoadedDataset(manifest, events, frames, gt, init_cloud)

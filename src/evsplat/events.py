@@ -56,23 +56,25 @@ class EventStream:
 
     @classmethod
     def create(cls, resolution, x, y, t, p) -> "EventStream":
-        """Build a validated stream; raises ValueError on any invariant breach."""
+        """Build a validated stream; raises ValueError naming the first
+        offending record on any invariant breach."""
         w, h = int(resolution[0]), int(resolution[1])
-        x = np.asarray(x, dtype=np.int32)
-        y = np.asarray(y, dtype=np.int32)
-        t = np.asarray(t, dtype=np.int64)
-        p = np.asarray(p, dtype=np.int8)
+        # checked before the casts, so an out-of-range value cannot wrap
+        x, y, t, p = (np.asarray(a) for a in (x, y, t, p))
         n = len(t)
         if not (len(x) == len(y) == len(p) == n):
             raise ValueError("component arrays must share one length")
-        if n:
-            if np.any(np.diff(t) < 0):
-                raise ValueError("timestamps must be non-decreasing")
-            if np.any((x < 0) | (x >= w) | (y < 0) | (y >= h)):
-                raise ValueError("event coordinates outside resolution")
-            if np.any((p != 1) & (p != -1)):
-                raise ValueError("polarity must be +1 or -1")
-        return cls((w, h), x, y, t, p)
+        bad = np.flatnonzero(np.diff(t) < 0)
+        if bad.size:
+            raise ValueError(f"unsorted timestamp at record {int(bad[0]) + 1}")
+        bad = np.flatnonzero((x < 0) | (x >= w) | (y < 0) | (y >= h))
+        if bad.size:
+            raise ValueError(f"out-of-bounds coordinates at record {int(bad[0])}")
+        bad = np.flatnonzero((p != 1) & (p != -1))
+        if bad.size:
+            raise ValueError(f"invalid polarity at record {int(bad[0])}")
+        return cls((w, h), np.asarray(x, dtype=np.int32), np.asarray(y, dtype=np.int32),
+                   np.asarray(t, dtype=np.int64), np.asarray(p, dtype=np.int8))
 
     @classmethod
     def empty(cls, resolution) -> "EventStream":
@@ -80,18 +82,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-@dataclass(frozen=True)
-class DeltaLogMap:
-    """Per-pixel signed log-brightness change over a time window.
-
-    ``out_of_span`` is set when the requested window does not touch the
-    stream's time span (values are then all zero).
-    """
-
-    values: np.ndarray
-    out_of_span: bool = False
 
 
 def log_intensity(img: IntensityImage, cfg: EventModelConfig) -> LogImage:
@@ -102,26 +92,18 @@ def log_intensity(img: IntensityImage, cfg: EventModelConfig) -> LogImage:
     return np.log(np.maximum(img, cfg.intensity_floor)) / cfg.gamma
 
 
-def accumulate_events(stream: EventStream, t0, t1, cfg: EventModelConfig) -> DeltaLogMap:
-    """Sum p * C per pixel over events with t0 < t <= t1.
-
-    Pixels with no events map to zero.  A window that lies outside the
-    stream's span sets the out_of_span flag (values remain zero).
-    """
+def accumulate_events(stream: EventStream, t0, t1, cfg: EventModelConfig) -> LogImage:
+    """Sum p * C per pixel over events with t0 < t <= t1, as an (H, W) array;
+    pixels with no event in the window map to zero."""
     if not t0 < t1:
         raise ValueError("require t0 < t1")
     w, h = stream.resolution
-    values = np.zeros(h * w, dtype=np.float64)
-    out = len(stream) == 0 or t1 < stream.t[0] or t0 > stream.t[-1]
-    if len(stream):
-        lo = np.searchsorted(stream.t, t0, side="right")
-        hi = np.searchsorted(stream.t, t1, side="right")
-        if hi > lo:
-            idx = stream.y[lo:hi].astype(np.int64) * w + stream.x[lo:hi]
-            values = np.bincount(idx, weights=stream.p[lo:hi].astype(np.float64),
-                                 minlength=h * w)
-            values = values * cfg.contrast_threshold
-    return DeltaLogMap(values.reshape(h, w), out_of_span=bool(out))
+    lo = np.searchsorted(stream.t, t0, side="right")
+    hi = np.searchsorted(stream.t, t1, side="right")
+    idx = stream.y[lo:hi].astype(np.int64) * w + stream.x[lo:hi]
+    values = np.bincount(idx, weights=stream.p[lo:hi].astype(np.float64),
+                         minlength=h * w)
+    return (values * cfg.contrast_threshold).reshape(h, w)
 
 
 def simulate_motion_events(

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .events import DeltaLogMap, EventModelConfig
+from .events import EventModelConfig
 
 
 NORM_FLOOR = 1e-9
@@ -19,10 +19,6 @@ class LossResult(NamedTuple):
     skip: bool = False
 
 
-def _values(m) -> np.ndarray:
-    return m.values if isinstance(m, DeltaLogMap) else np.asarray(m, dtype=np.float64)
-
-
 def motion_event_loss(pred, gt) -> LossResult:
     """|| pred/|pred| - gt/|gt| ||^2 over the full pixel set.
 
@@ -31,8 +27,8 @@ def motion_event_loss(pred, gt) -> LossResult:
     gives loss 0 with zero gradient; exactly one zero norm signals a skipped
     window via the skip flag.
     """
-    p = _values(pred)
-    g = _values(gt)
+    p = np.asarray(pred, dtype=np.float64)
+    g = np.asarray(gt, dtype=np.float64)
     if p.shape != g.shape:
         raise ValueError("resolution mismatch")
     pf = p.reshape(-1)

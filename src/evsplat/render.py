@@ -16,8 +16,8 @@ processed in depth-ordered chunks.  Within a chunk, elements are stably
 sorted by pixel id (radix for 16-bit ids), making the per-pixel compositing
 order the global depth order; transmittances are exclusive segmented
 cumulative sums of log(1 - alpha) scaled by the transmittance entering the
-chunk.  Pixels whose transmittance has already terminated cull later chunks'
-elements before any transcendental work.
+chunk.  Once some pixel has terminated, each later chunk drops the pairs
+whose pixel has terminated before any transcendental work.
 """
 
 from __future__ import annotations
@@ -161,12 +161,9 @@ def _project(scene: GaussianScene, cam: CameraModel) -> Projection:
     )
 
 
-def _chunk_footprints(proj: Projection, lo: int, hi: int, width: int,
-                      keep_idx: np.ndarray | None = None):
-    """Flat (gaussian, pixel) arrays for Gaussians [lo, hi) (optionally a
-    pre-culled index subset), depth-major order."""
-    ids = np.arange(lo, hi, dtype=np.int32) if keep_idx is None \
-        else keep_idx.astype(np.int32)
+def _chunk_footprints(proj: Projection, lo: int, hi: int, width: int):
+    """Flat (gaussian, pixel) arrays for Gaussians [lo, hi), depth-major order."""
+    ids = np.arange(lo, hi, dtype=np.int32)
     rect = proj.rect[ids]
     rw = (rect[:, 1] - rect[:, 0] + 1).astype(np.int32)
     rh = (rect[:, 3] - rect[:, 2] + 1).astype(np.int32)
@@ -229,41 +226,11 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
     parts = [] if keep_tape else None
     offsets = [0]
     total = 0
-
-    tile = 8
-    tw = -(-width // tile)
-    th = -(-height // tile)
-    pad_w, pad_h = tw * tile, th * tile
-    tx0 = (proj.rect[:, 0] // tile).astype(np.int64)
-    tx1 = (proj.rect[:, 1] // tile).astype(np.int64)
-    ty0 = (proj.rect[:, 2] // tile).astype(np.int64)
-    ty1 = (proj.rect[:, 3] // tile).astype(np.int64)
     any_dead = False
 
     for lo in range(0, m, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, m)
-        keep_idx = None
-        if any_dead and m > CHUNK_SIZE:
-            # drop whole Gaussians whose footprint is fully terminated; a
-            # padded tile max never reports a live pixel as dead
-            padded = np.zeros((pad_h, pad_w))
-            padded[:height, :width] = t_img.reshape(height, width)
-            tile_t = padded.reshape(th, tile, tw, tile).max(axis=(1, 3))
-            cx0, cx1 = tx0[lo:hi], tx1[lo:hi]
-            cy0, cy1 = ty0[lo:hi], ty1[lo:hi]
-            best = np.zeros(hi - lo)
-            span = int(max((cx1 - cx0).max(), (cy1 - cy0).max())) + 1
-            for oy in range(span):
-                yy = np.minimum(cy0 + oy, cy1)
-                for ox in range(span):
-                    xx = np.minimum(cx0 + ox, cx1)
-                    np.maximum(best, tile_t[yy, xx], out=best)
-            keep_idx = np.flatnonzero(best >= TERMINATE_TRANSMITTANCE) + lo
-            if len(keep_idx) == 0:
-                continue
-        gi, px, py, pix = _chunk_footprints(proj, lo, hi, width, keep_idx)
-        if len(gi) == 0:
-            continue
+        gi, px, py, pix = _chunk_footprints(proj, lo, hi, width)
         if any_dead:
             alive = t_img[pix] >= TERMINATE_TRANSMITTANCE
             if not alive.all():

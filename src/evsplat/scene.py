@@ -78,11 +78,6 @@ class GaussianScene:
             background=background,
         )
 
-    @classmethod
-    def empty(cls, background: float = 0.0) -> "GaussianScene":
-        z = np.zeros((0, 3))
-        return cls(z, np.zeros((0, 4)), z.copy(), np.zeros(0), np.zeros(0), background)
-
 
 def save_scene(path: str, scene: GaussianScene) -> None:
     """Write the EGS1 checkpoint (atomic: temp file then rename).
@@ -121,8 +116,6 @@ def load_scene(path: str) -> GaussianScene:
             raise ValueError("missing background value")
     block = np.frombuffer(data, dtype="<f4").reshape(n, _FLOATS_PER_GAUSSIAN).astype(np.float64)
     background = float(np.frombuffer(tail, dtype="<f4")[0])
-    if n == 0:
-        return GaussianScene.empty(background)
     return GaussianScene(
         means=block[:, 0:3],
         quats=block[:, 3:7],

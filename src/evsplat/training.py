@@ -6,7 +6,7 @@ hybrid = both at equal weight)."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,8 +63,8 @@ class DensifyConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Mode plus schedule; unset iterations / lr_initial take the mode's
-    MODE_ITERATIONS / MODE_LR."""
+    """Mode plus schedule; iterations / lr_initial left unset take the mode's
+    MODE_ITERATIONS / MODE_LR when the config is built."""
 
     mode: str = "hybrid"
     iterations: int | None = None
@@ -79,22 +79,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODE_LAMBDA:
             raise ValueError(f"unknown mode: {self.mode!r}")
-        iters = MODE_ITERATIONS[self.mode] if self.iterations is None else self.iterations
-        if not iters > self.warmup_iters >= 0:
-            raise ValueError(f"require iterations ({iters}) > warmup_iters "
+        if self.iterations is None:
+            object.__setattr__(self, "iterations", MODE_ITERATIONS[self.mode])
+        if self.lr_initial is None:
+            object.__setattr__(self, "lr_initial", MODE_LR[self.mode])
+        if not self.iterations > self.warmup_iters >= 0:
+            raise ValueError(f"require iterations ({self.iterations}) > warmup_iters "
                              f"({self.warmup_iters}) >= 0")
 
     @property
     def lambda_weight(self) -> float:
         return MODE_LAMBDA[self.mode]
-
-    def resolved(self) -> "TrainConfig":
-        cfg = self
-        if cfg.iterations is None:
-            cfg = replace(cfg, iterations=MODE_ITERATIONS[cfg.mode])
-        if cfg.lr_initial is None:
-            cfg = replace(cfg, lr_initial=MODE_LR[cfg.mode])
-        return cfg
 
 
 def sample_window(rng: np.random.Generator, t_end_of_window: float, l_max: float):
@@ -297,13 +292,12 @@ def _eval_psnr(scene: GaussianScene, data: TrainData) -> float:
     return float(np.mean(vals))
 
 
-def train(data: TrainData, config: TrainConfig):
+def train(data: TrainData, cfg: TrainConfig):
     """Run the configured mode; returns (scene, log records).
 
     The log is a list of dicts: periodic progress records, optional held-out
     PSNR records, and one final summary record.
     """
-    cfg = config.resolved()
     lam = cfg.lambda_weight
     use_events = lam > 0.0
     use_frames = lam < 1.0

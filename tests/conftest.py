@@ -35,6 +35,11 @@ def random_scene(rng, n, background=0.4, logit_range=(-2.0, 2.0)):
     return GaussianScene(means, quats, log_scales, logits, intens, background=background)
 
 
+def empty_scene(background=0.0):
+    return GaussianScene(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros((0, 3)),
+                         np.zeros(0), np.zeros(0), background)
+
+
 def small_camera(size=16, fx=40.0):
     return CameraModel(fx=fx, fy=fx, cx=(size - 1) / 2.0, cy=(size - 1) / 2.0,
                        width=size, height=size)

@@ -28,7 +28,7 @@ class TestParseArgs:
         for mode, lam, iters, lr in (("fast", 1.0, 10_000, 1.6e-5),
                                      ("hq", 0.0, 30_000, 1.6e-4),
                                      ("hybrid", 0.5, 30_000, 1.6e-4)):
-            cfg = TrainConfig(mode=mode).resolved()
+            cfg = TrainConfig(mode=mode)
             assert cfg.lambda_weight == lam
             assert cfg.iterations == iters
             assert cfg.lr_initial == lr
@@ -64,6 +64,30 @@ class TestParseArgs:
             parse(argv + ["--out", "o", "--config", str(cfg)])
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
+
+    RENDER = ["render", "--data", "d", "--checkpoint", "c.egs", "--frame", "0"]
+    EVAL = ["eval", "--data", "d", "--checkpoint", "c.egs"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "1"],
+        ["map-exposure", "--seed", "1"],
+        RENDER + ["--seed", "1"],
+        EVAL + ["--seed", "1"],
+        RENDER + ["--config", "c.json"],
+        RENDER + ["--set", "a=1"],
+        EVAL + ["--config", "c.json"],
+        EVAL + ["--set", "a=1"],
+    ], ids=["simulate-seed", "map-exposure-seed", "render-seed", "eval-seed",
+            "render-config", "render-set", "eval-config", "eval-set"])
+    def test_flag_of_another_subcommand_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv + ["--out", "o"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_seed_sets_config_seed(self):
+        assert parse(["make-synthetic", "--out", "o", "--seed", "3"]).config.seed == 3
+        assert parse(TRAIN_FAST + ["--out", "o", "--seed", "4"]).config.seed == 4
 
     def test_unreadable_config_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -41,27 +41,25 @@ class TestLogIntensity:
 class TestAccumulateEvents:
     def test_empty_stream_all_zero(self):
         out = accumulate_events(EventStream.empty((4, 4)), 0, 100, CFG)
-        assert np.all(out.values == 0.0)
-        assert out.out_of_span
+        np.testing.assert_array_equal(out, np.zeros((4, 4)))
 
     def test_three_pos_one_neg(self):
         s = EventStream.create((4, 4), [2, 2, 2, 2], [1, 1, 1, 1],
                                [10, 20, 30, 40], [1, 1, 1, -1])
         out = accumulate_events(s, 0, 100, CFG)
-        assert out.values[1, 2] == pytest.approx(0.2)
-        assert not out.out_of_span
+        assert out[1, 2] == pytest.approx(0.2)
 
     def test_window_semantics_half_open(self):
         # t0 < t <= t1: events at t0 excluded, at t1 included
         s = EventStream.create((2, 1), [0, 0, 0], [0, 0, 0], [10, 20, 30], [1, 1, 1])
         out = accumulate_events(s, 10, 20, CFG)
-        assert out.values[0, 0] == pytest.approx(CFG.contrast_threshold)
+        assert out[0, 0] == pytest.approx(CFG.contrast_threshold)
 
-    def test_out_of_span_flag(self):
+    def test_out_of_span_window_is_zero(self):
         s = EventStream.create((2, 1), [0], [0], [100], [1])
-        assert accumulate_events(s, 200, 300, CFG).out_of_span
-        assert accumulate_events(s, 0, 50, CFG).out_of_span
-        assert not accumulate_events(s, 50, 150, CFG).out_of_span
+        np.testing.assert_array_equal(accumulate_events(s, 200, 300, CFG), 0.0)
+        np.testing.assert_array_equal(accumulate_events(s, 0, 50, CFG), 0.0)
+        assert accumulate_events(s, 50, 150, CFG)[0, 0] == CFG.contrast_threshold
 
     def test_additive_over_adjacent_windows(self, rng):
         n = 500
@@ -70,14 +68,14 @@ class TestAccumulateEvents:
                                t, rng.choice([-1, 1], n).astype(np.int8))
         # unit threshold: per-window sums are small integers, additivity is exact
         unit = EventModelConfig(contrast_threshold=1.0)
-        a = accumulate_events(s, 0, 4000, unit).values
-        b = accumulate_events(s, 4000, 8000, unit).values
-        c = accumulate_events(s, 0, 8000, unit).values
+        a = accumulate_events(s, 0, 4000, unit)
+        b = accumulate_events(s, 4000, 8000, unit)
+        c = accumulate_events(s, 0, 8000, unit)
         np.testing.assert_array_equal(a + b, c)
         # arbitrary threshold: additive to one rounding step of C
-        a = accumulate_events(s, 0, 4000, CFG).values
-        b = accumulate_events(s, 4000, 8000, CFG).values
-        c = accumulate_events(s, 0, 8000, CFG).values
+        a = accumulate_events(s, 0, 4000, CFG)
+        b = accumulate_events(s, 4000, 8000, CFG)
+        c = accumulate_events(s, 0, 8000, CFG)
         np.testing.assert_allclose(a + b, c, rtol=0, atol=1e-15)
 
     def test_rejects_bad_window(self):
@@ -124,7 +122,7 @@ class TestSimulateMotionEvents:
         times = np.arange(8) * 1000
         frames = make_frames(logs, times)
         s = simulate_motion_events(frames, CFG)
-        acc = accumulate_events(s, times[0], times[-1], CFG).values
+        acc = accumulate_events(s, times[0], times[-1], CFG)
         np.testing.assert_array_less(np.abs(acc - (logs[-1] - logs[0])),
                                      CFG.contrast_threshold + 1e-12)
 
@@ -143,8 +141,8 @@ class TestSimulateMotionEvents:
             other = simulate_motion_events(frames, cfg_k)
             slack = amp.size if k < 1 else 0
             assert len(other) <= np.ceil(1.0 / k) * len(base) + slack
-            acc_a = accumulate_events(base, times[0], times[-1], CFG).values
-            acc_b = accumulate_events(other, times[0], times[-1], cfg_k).values
+            acc_a = accumulate_events(base, times[0], times[-1], CFG)
+            acc_b = accumulate_events(other, times[0], times[-1], cfg_k)
             bound = max(CFG.contrast_threshold, k * CFG.contrast_threshold)
             assert np.abs(acc_a - acc_b).max() <= bound + 1e-12
 
@@ -166,13 +164,16 @@ class TestSimulateMotionEvents:
 
 class TestEventStreamValidation:
     def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            EventStream.create((4, 4), [0, 0], [0, 0], [10, 5], [1, 1])
+        with pytest.raises(ValueError, match="unsorted timestamp at record 2"):
+            EventStream.create((4, 4), [0, 0, 0], [0, 0, 0], [3, 10, 5], [1, 1, 1])
 
     def test_rejects_out_of_bounds(self):
-        with pytest.raises(ValueError):
-            EventStream.create((4, 4), [4], [0], [0], [1])
+        with pytest.raises(ValueError, match="out-of-bounds coordinates at record 1"):
+            EventStream.create((4, 4), [0, 4], [0, 0], [0, 0], [1, 1])
 
     def test_rejects_bad_polarity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="invalid polarity at record 0"):
             EventStream.create((4, 4), [0], [0], [0], [0])
+        # checked before the int8 cast, which would wrap 257 to +1
+        with pytest.raises(ValueError, match="invalid polarity at record 1"):
+            EventStream.create((4, 4), [0, 0], [0, 0], [0, 0], np.array([1, 257]))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_scene, small_camera
+from conftest import empty_scene, random_scene, small_camera
 
 from evsplat import training
 from evsplat.camera import KeyframeTrajectory
-from evsplat.events import DeltaLogMap, EventModelConfig, EventStream
+from evsplat.events import EventModelConfig, EventStream
 from evsplat.exposure import ExposureFrame
 from evsplat.losses import (combined_loss, exposure_loss, log_intensity_upstream,
                             motion_event_loss)
@@ -60,11 +60,6 @@ class TestMotionEventLoss:
             lm = motion_event_loss(p, gt).value
             fd = (lp - lm) / (2 * h)
             assert res.grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-    def test_accepts_delta_log_maps(self, rng):
-        v = rng.normal(size=(4, 4))
-        res = motion_event_loss(DeltaLogMap(v), DeltaLogMap(v.copy()))
-        assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_resolution_mismatch(self):
         with pytest.raises(ValueError):
@@ -168,7 +163,7 @@ class TestPredictedDeltaLog:
     def test_empty_scene_zero(self, monkeypatch):
         cam0 = small_camera()
         cam1 = cam0.with_pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
-        out = fast_branch_delta_log(monkeypatch, GaussianScene.empty(background=0.5),
+        out = fast_branch_delta_log(monkeypatch, empty_scene(background=0.5),
                                     cam0, cam1)
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 

@@ -3,11 +3,12 @@ import types
 import numpy as np
 import pytest
 
-from conftest import random_scene, reference_render, small_camera
+from conftest import empty_scene, random_scene, reference_render, small_camera
 
+from evsplat.backward import render_backward
 from evsplat.camera import CameraModel
 from evsplat.quat import quat_normalize, quat_to_rot, rot_to_quat
-from evsplat.render import COV2D_DILATION, _project, render
+from evsplat.render import CHUNK_SIZE, COV2D_DILATION, _project, render
 from evsplat.scene import Gaussian3D, GaussianScene
 
 
@@ -16,6 +17,23 @@ def single_gaussian_scene(mean=(0.0, 0.0, 2.0), logit=12.0, intensity=0.8,
     g = Gaussian3D(np.array(mean), np.array([1.0, 0, 0, 0]),
                    np.log([scale] * 3), logit, intensity)
     return GaussianScene.from_gaussians([g], background=background)
+
+
+def multi_chunk_scene(rng, back=40):
+    """One chunk of small opaque Gaussians in front of the left half of a 16x16
+    view, which terminates pixels there, and larger translucent Gaussians
+    behind them over the whole view, which fall in the second chunk."""
+    n = CHUNK_SIZE + back
+    front = np.arange(n) < CHUNK_SIZE
+    means = np.column_stack([
+        np.where(front, rng.uniform(-0.4, 0.0, n), rng.uniform(-0.7, 0.7, n)),
+        np.where(front, rng.uniform(-0.4, 0.4, n), rng.uniform(-0.7, 0.7, n)),
+        np.where(front, rng.uniform(2.0, 2.4, n), rng.uniform(3.0, 4.0, n))])
+    log_scales = np.log(np.where(front, rng.uniform(0.03, 0.05, n),
+                                 rng.uniform(0.1, 0.2, n)))[:, None].repeat(3, axis=1)
+    logits = np.where(front, 5.0, rng.uniform(-1.0, 1.0, n))
+    return GaussianScene(means, rng.normal(size=(n, 4)), log_scales, logits,
+                         rng.uniform(0.05, 1.0, n), background=0.4)
 
 
 class TestProjection:
@@ -43,7 +61,7 @@ class TestProjection:
 
 class TestRenderForward:
     def test_empty_scene_pure_background(self):
-        out = render(GaussianScene.empty(background=0.5), small_camera())
+        out = render(empty_scene(background=0.5), small_camera())
         np.testing.assert_array_equal(out.image, np.full((16, 16), 0.5))
         np.testing.assert_array_equal(out.final_transmittance, np.ones((16, 16)))
 
@@ -65,13 +83,38 @@ class TestRenderForward:
         assert out.image[8, 8] == pytest.approx(0.5, abs=1e-6)
 
     def test_matches_reference_compositor(self, rng):
-        for seed in range(8):
-            r = np.random.default_rng(seed)
-            scene = random_scene(r, int(r.integers(3, 24)))
-            cam = small_camera()
+        scenes = [random_scene(r, int(r.integers(3, 24)))
+                  for r in map(np.random.default_rng, range(8))]
+        scenes.append(multi_chunk_scene(rng))
+        cam = small_camera()
+        for scene in scenes:
             fast = render(scene, cam).image
             slow = reference_render(scene, cam)
             np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+        # the last scene terminates pixels inside its first chunk, so its
+        # second chunk goes through the per-pair termination filter
+        tape = render(scene, cam, keep_tape=True).tape
+        assert len(tape.chunk_offsets) - 1 >= 2
+        assert not tape.live[:tape.chunk_offsets[1]].all()
+        upstream = rng.normal(size=(16, 16))
+        buf = render_backward(scene, cam, upstream, tape)
+        second = tape.proj.orig_idx[CHUNK_SIZE:]
+        picks = second[np.argsort(-np.abs(buf.d_intensities[second]))[:3]]
+
+        def loss():
+            return float(np.sum(upstream * render(scene, cam).image))
+
+        for arr, grad, h in ((scene.intensities, buf.d_intensities, 1e-4),
+                             (scene.opacity_logits, buf.d_opacity_logits, 1e-5)):
+            for k in picks:
+                orig = arr[k]
+                arr[k] = orig + h
+                lp = loss()
+                arr[k] = orig - h
+                lm = loss()
+                arr[k] = orig
+                assert grad[k] == pytest.approx((lp - lm) / (2 * h), rel=1e-5, abs=1e-9)
 
     def test_compositing_identity(self, rng):
         # image == blended contributions + background * final transmittance
@@ -129,7 +172,7 @@ class TestRenderForward:
 
 class TestRenderDepth:
     def test_empty_scene_sentinel(self):
-        depth = render(GaussianScene.empty(background=0.7), small_camera(),
+        depth = render(empty_scene(background=0.7), small_camera(),
                        compute_depth=True).depth
         np.testing.assert_array_equal(depth, np.zeros((16, 16)))
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import empty_scene
+
 from evsplat.camera import CameraModel
 from evsplat.quat import quat_normalize, quat_slerp, quat_to_rot, rot_to_quat
 from evsplat.render import _project
@@ -108,10 +110,14 @@ class TestCheckpoint:
 
     def test_empty_scene(self, tmp_path):
         path = str(tmp_path / "empty.egs")
-        save_scene(path, GaussianScene.empty(background=0.5))
+        save_scene(path, empty_scene(background=0.5))
         back = load_scene(path)
         assert len(back) == 0
         assert back.background == np.float32(0.5)
+        for name, shape in (("means", (0, 3)), ("quats", (0, 4)), ("log_scales", (0, 3)),
+                            ("opacity_logits", (0,)), ("intensities", (0,))):
+            assert getattr(back, name).shape == shape
+            assert getattr(back, name).dtype == np.float64
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "bad.egs")
