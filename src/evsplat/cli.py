@@ -225,7 +225,11 @@ def _build_config(parser, args):
 
 
 class _OutputLock:
-    """Refuses concurrent subcommands on one output directory."""
+    """Refuses concurrent subcommands on one output directory.
+
+    The lock file holds the owner's pid.  A lock whose pid names a process
+    that no longer exists is left by a run that died, and is taken over; a
+    lock that names a live process, or no pid, is refused."""
 
     def __init__(self, out_dir: str):
         self.path = os.path.join(out_dir, ".evsplat.lock")
@@ -235,8 +239,24 @@ class _OutputLock:
         try:
             self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise RuntimeError(f"output directory is locked by another run: {self.path}")
+            if not self._owner_is_dead():
+                raise RuntimeError(f"output directory is locked by another run: {self.path}")
+            os.unlink(self.path)
+            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        os.write(self.fd, str(os.getpid()).encode())
         return self
+
+    def _owner_is_dead(self) -> bool:
+        try:
+            with open(self.path) as f:
+                pid = int(f.read())
+            if pid > 0:   # 0 and negative pids would address process groups
+                os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError, OverflowError):
+            pass   # unreadable, no pid, or another user's live process
+        return False
 
     def __exit__(self, *exc):
         if self.fd is not None:
@@ -276,8 +296,8 @@ def _run_simulate(cmd: Command) -> int:
 def _run_map_exposure(cmd: Command) -> int:
     cfg = cmd.config
     stream = dio.read_events(cfg.events)
-    tm = extract_ipe(stream, cfg.t_open_us)
-    frame = map_temporal_to_intensity(tm, cfg.profile, cfg.contrast,
+    t_star = extract_ipe(stream, cfg.t_open_us)
+    frame = map_temporal_to_intensity(t_star, cfg.profile, cfg.contrast,
                                       clip_percentile=cfg.clip_percentile)
     out_path = os.path.join(cmd.out, cfg.output)
     dio.write_pnm(out_path, frame.image)
@@ -340,7 +360,7 @@ def _run_train(cmd: Command) -> int:
 
 def _run_render(cmd: Command) -> int:
     scene = load_scene(cmd.checkpoint)
-    manifest = dio.load_dataset(cmd.data).manifest
+    manifest = dio.read_manifest(os.path.join(cmd.data, "manifest.json"))
     if not 0 <= cmd.frame < len(manifest.pose_times):
         raise RuntimeError(f"frame {cmd.frame} outside pose table")
     cam = pose_at_time(manifest.trajectory, manifest.pose_times[cmd.frame])

@@ -22,8 +22,8 @@ import numpy as np
 
 from .camera import CameraModel, KeyframeTrajectory, Trajectory, TurntableTrajectory, pose_at_time
 from .events import EventModelConfig, EventStream, simulate_motion_events
-from .exposure import (ExposureFrame, TransmittanceProfile, extract_ipe,
-                       map_temporal_to_intensity, simulate_exposure_events)
+from .exposure import (ExposureFrame, TransmittanceProfile, map_temporal_to_intensity,
+                       simulate_ipe)
 from .render import render
 from .scene import Gaussian3D, GaussianScene
 
@@ -461,7 +461,12 @@ class SyntheticDataset:
 def generate_synthetic_scene(spec: SyntheticSceneSpec,
                              rng: np.random.Generator | None = None) -> SyntheticDataset:
     """Render ground truth along the turntable, simulate motion events over the
-    full rotation, and simulate + map exposure events at every stop."""
+    full rotation, and map each stop's exposure IPE times to a frame.
+
+    The IPE times come from the exposure simulator's first crossings
+    (`simulate_ipe`); the full exposure-event stream is never built, since
+    the frames use only each pixel's initial positive event.  The stops'
+    exposure events are not part of the dataset."""
     rng = rng or np.random.default_rng(spec.seed)
     w, h = spec.resolution
     gaussians = list(spec.gaussians) if spec.gaussians else _default_toy_gaussians()
@@ -486,9 +491,8 @@ def generate_synthetic_scene(spec: SyntheticSceneSpec,
     for k, t in enumerate(pose_times):
         gt = render(gt_scene, pose_at_time(trajectory, t)).image
         gt_frames[k] = gt
-        stream = simulate_exposure_events(gt, profile, exp_cfg, levels=spec.levels)
-        frame = map_temporal_to_intensity(extract_ipe(stream), profile,
-                                          spec.exposure_contrast)
+        t_star = simulate_ipe(gt, profile, exp_cfg, levels=spec.levels)
+        frame = map_temporal_to_intensity(t_star, profile, spec.exposure_contrast)
         exposure_frames.append(replace(frame, pose_id=k))
 
     split_given = [k for k in range(spec.stops) if k % 2 == 1]
@@ -563,6 +567,8 @@ def load_dataset(root: str) -> LoadedDataset:
         mask = np.ones_like(img, dtype=bool)
         if entry.get("mask"):
             mask = read_pnm(os.path.join(root, entry["mask"])) > 0.5
+            if not mask.any():
+                raise FormatError(f"exposure mask {entry['mask']!r} selects no pixel")
         frames.append(ExposureFrame(img, mask, pose_id=int(entry["pose_id"])))
     gt = {int(e["pose_id"]): read_pnm(os.path.join(root, e["image"]))
           for e in manifest.gt_frames}

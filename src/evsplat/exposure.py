@@ -51,14 +51,6 @@ class TransmittanceProfile:
 
 
 @dataclass(frozen=True)
-class TemporalMatrix:
-    """Per-pixel first-positive-event timestamps in seconds; NaN marks no-event pixels."""
-
-    resolution: tuple[int, int]   # (width, height)
-    t_star: np.ndarray            # (H, W) float seconds, NaN = invalid
-
-
-@dataclass(frozen=True)
 class ExposureFrame:
     """Normalized [0, 1] grayscale image mapped from exposure events.
 
@@ -111,8 +103,9 @@ def cumulative_exposure(profile: TransmittanceProfile, t_star):
     return float(h) if np.isscalar(t_star) else h
 
 
-def extract_ipe(stream: EventStream, t_open: int = 0) -> TemporalMatrix:
-    """Per-pixel time of the initial positive event at or after t_open, in seconds."""
+def extract_ipe(stream: EventStream, t_open: int = 0) -> np.ndarray:
+    """(H, W) time in seconds of each pixel's initial positive event at or
+    after t_open; NaN where the pixel has none."""
     w, h = stream.resolution
     t_star = np.full(h * w, np.nan)
     if len(stream):
@@ -122,16 +115,16 @@ def extract_ipe(stream: EventStream, t_open: int = 0) -> TemporalMatrix:
             # stream is time sorted, so the first occurrence per pixel is the IPE
             uniq, first = np.unique(idx, return_index=True)
             t_star[uniq] = (stream.t[sel[first]] - t_open) * 1e-6
-    return TemporalMatrix((w, h), t_star.reshape(h, w))
+    return t_star.reshape(h, w)
 
 
 def map_temporal_to_intensity(
-    tm: TemporalMatrix,
+    t_star: np.ndarray,
     profile: TransmittanceProfile,
     contrast: float,
     clip_percentile: float | None = None,
 ) -> ExposureFrame:
-    """Convert IPE timestamps to a max-normalized intensity frame.
+    """Convert (H, W) IPE timestamps in seconds to a max-normalized intensity frame.
 
     Valid pixels get C / h(t*), then every valid value is divided by the
     maximum over valid pixels (scale-only normalization, zeros preserved).
@@ -140,7 +133,6 @@ def map_temporal_to_intensity(
     """
     if contrast <= 0:
         raise ValueError("contrast must be > 0")
-    t_star = tm.t_star
     valid = np.isfinite(t_star) & (t_star > 0)
     if not valid.any():
         raise ValueError("no valid pixels to normalize")
@@ -152,6 +144,37 @@ def map_temporal_to_intensity(
         raw = np.minimum(raw, np.percentile(raw, clip_percentile, method="lower"))
     image[valid] = raw / raw.max()
     return ExposureFrame(image=image, mask=valid)
+
+
+# relative grace on the crossing quantizer so accumulated float error can
+# not miss a threshold hit that lands exactly on a multiple of C
+_EPS = 1e-9
+
+
+def _ramp(img, profile: TransmittanceProfile, levels: int):
+    """Flat intensities, step length and per-step midpoint transmittance."""
+    img = np.asarray(img, dtype=np.float64)
+    if np.any(img < 0):
+        raise ValueError("intensity values must be >= 0")
+    if levels < 2:
+        raise ValueError("levels must be >= 2")
+    dt = profile.t_end / levels
+    mids = transmittance_at(profile, (np.arange(levels) + 0.5) * dt)
+    return img.reshape(-1), dt, mids
+
+
+def _charge_step(charge, intensity, tr, dt, c):
+    """One ramp step: the rate, the charge at its end and the number of
+    multiples of c that charge has reached."""
+    rate = intensity * tr
+    new_charge = charge + rate * dt
+    return rate, new_charge, np.floor(new_charge / c + _EPS)
+
+
+def _crossing_us(j, dt, level, charge, rate):
+    """Timestamp in µs (>= 1) at which charge reaches level within step j."""
+    tt = j * dt + np.maximum(level - charge, 0.0) / rate
+    return np.maximum(np.rint(tt * 1e6).astype(np.int64), 1)
 
 
 def simulate_exposure_events(
@@ -169,27 +192,15 @@ def simulate_exposure_events(
     is the first); all polarities are positive.  Pixels with I = 0 emit
     nothing.
     """
-    img = np.asarray(img, dtype=np.float64)
-    if np.any(img < 0):
-        raise ValueError("intensity values must be >= 0")
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
-    h_px, w_px = img.shape
+    h_px, w_px = np.shape(img)
+    intensity, dt, mids = _ramp(img, profile, levels)
     c = cfg.contrast_threshold
-    intensity = img.reshape(-1)
-    dt = profile.t_end / levels
-    mids = transmittance_at(profile, (np.arange(levels) + 0.5) * dt)
-
-    # relative grace on the crossing quantizer so accumulated float error can
-    # not miss a threshold hit that lands exactly on a multiple of C
-    eps = 1e-9
     charge = np.zeros_like(intensity)
+    base = np.zeros_like(intensity)   # multiples of c reached so far
     xs, ys, ts = [], [], []
     for j in range(levels):
-        rate = intensity * mids[j]
-        new_charge = charge + rate * dt
-        base = np.floor(charge / c + eps)
-        n = (np.floor(new_charge / c + eps) - base).astype(np.int64)
+        rate, new_charge, reached = _charge_step(charge, intensity, mids[j], dt, c)
+        n = (reached - base).astype(np.int64)
         active = np.flatnonzero(n > 0)
         if active.size:
             counts = n[active]
@@ -197,12 +208,10 @@ def simulate_exposure_events(
             offs = np.concatenate(([0], np.cumsum(counts)))[:-1]
             kk = np.arange(counts.sum(), dtype=np.int64) - np.repeat(offs, counts) + 1
             level = (base[rep] + kk) * c
-            tt = j * dt + np.maximum(level - charge[rep], 0.0) / rate[rep]
-            tt_us = np.maximum(np.rint(tt * 1e6).astype(np.int64), 1)
             xs.append((rep % w_px).astype(np.int32))
             ys.append((rep // w_px).astype(np.int32))
-            ts.append(tt_us)
-        charge = new_charge
+            ts.append(_crossing_us(j, dt, level, charge[rep], rate[rep]))
+        charge, base = new_charge, reached
 
     if not ts:
         return EventStream.empty((w_px, h_px))
@@ -212,6 +221,39 @@ def simulate_exposure_events(
     order = np.argsort(t, kind="stable")
     p = np.ones(len(t), dtype=np.int8)
     return EventStream.create((w_px, h_px), x[order], y[order], t[order], p)
+
+
+def simulate_ipe(
+    img: IntensityImage,
+    profile: TransmittanceProfile,
+    cfg: EventModelConfig,
+    levels: int = 100,
+) -> np.ndarray:
+    """(H, W) IPE times in seconds of the exposure simulation; NaN where a
+    pixel never fires.
+
+    Equal to ``extract_ipe(simulate_exposure_events(...))``: the same charge
+    steps and crossing times, but each pixel is dropped once it has fired,
+    so only first crossings are computed and no event stream is built.
+    """
+    intensity, dt, mids = _ramp(img, profile, levels)
+    c = cfg.contrast_threshold
+    t_star = np.full(intensity.shape, np.nan)
+    pix = np.flatnonzero(intensity > 0)
+    intensity = intensity[pix]
+    charge = np.zeros_like(intensity)
+    for j in range(levels):
+        if not pix.size:
+            break
+        rate, new_charge, reached = _charge_step(charge, intensity, mids[j], dt, c)
+        # an unfired pixel has reached no multiple of c, so its first crossing is c
+        fired = reached > 0
+        if fired.any():
+            t_star[pix[fired]] = _crossing_us(j, dt, c, charge[fired], rate[fired]) * 1e-6
+            left = ~fired
+            pix, intensity, new_charge = pix[left], intensity[left], new_charge[left]
+        charge = new_charge
+    return t_star.reshape(np.shape(img))
 
 
 def scale_foreground(

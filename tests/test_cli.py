@@ -167,6 +167,36 @@ class TestPipeline:
         assert not os.path.exists(os.path.join(out_dir, "scene.egs"))
         assert "requires an event stream" in capsys.readouterr().err
 
+    def test_train_empty_exposure_mask_exits_one(self, tiny_dataset, tmp_path, capsys):
+        import shutil
+        broken = str(tmp_path / "broken")
+        shutil.copytree(tiny_dataset, broken)
+        write_pnm(os.path.join(broken, "exposure", "mask_001.pnm"), np.zeros((24, 24)))
+        path = os.path.join(broken, "manifest.json")
+        manifest = json.load(open(path))
+        manifest["exposure_frames"][1]["mask"] = "exposure/mask_001.pnm"
+        json.dump(manifest, open(path, "w"))
+        out_dir = str(tmp_path / "runm")
+        code = run(parse(["train", "--data", broken, "--mode", "hq", "--out", out_dir,
+                          "--set", "iterations=5", "--set", "warmup_iters=1"]))
+        assert code == 1
+        assert os.listdir(out_dir) == []
+        assert "mask_001.pnm" in capsys.readouterr().err
+
+    def test_render_reads_only_the_manifest(self, tiny_dataset, tmp_path):
+        import shutil
+        argv = ["render", "--checkpoint", os.path.join(tiny_dataset, "gt_scene.egs"),
+                "--frame", "2"]
+        assert run(parse(argv + ["--data", tiny_dataset, "--out", str(tmp_path / "a")])) == 0
+        partial = str(tmp_path / "partial")
+        shutil.copytree(tiny_dataset, partial)
+        os.remove(os.path.join(partial, "events.evt1"))
+        os.remove(os.path.join(partial, "gt", "stop_002.pnm"))
+        assert run(parse(argv + ["--data", partial, "--out", str(tmp_path / "b")])) == 0
+        name = "render_002.pnm"
+        assert (open(str(tmp_path / "a" / name), "rb").read()
+                == open(str(tmp_path / "b" / name), "rb").read())
+
     def test_render_bad_frame_exits_one(self, tiny_dataset, tmp_path, capsys):
         code = run(parse(["render", "--data", tiny_dataset, "--checkpoint",
                           os.path.join(tiny_dataset, "gt_scene.egs"),
@@ -182,6 +212,42 @@ class TestPipeline:
                           "--frame", "0", "--out", out]))
         assert code == 1
         assert "locked" in capsys.readouterr().err
+
+    def test_lock_refuses_live_owner(self, tiny_dataset, tmp_path, capsys):
+        out = str(tmp_path / "locked")
+        os.makedirs(out)
+        lock = os.path.join(out, ".evsplat.lock")
+        with open(lock, "w") as f:
+            f.write(str(os.getpid()))
+        code = run(parse(["render", "--data", tiny_dataset, "--checkpoint",
+                          os.path.join(tiny_dataset, "gt_scene.egs"),
+                          "--frame", "0", "--out", out]))
+        assert code == 1
+        assert "locked" in capsys.readouterr().err
+        assert open(lock).read() == str(os.getpid())
+
+    def test_lock_of_dead_owner_taken_over(self, tiny_dataset, tmp_path):
+        import subprocess
+        import sys
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()   # reaped: its pid names no process
+        out = str(tmp_path / "stale")
+        os.makedirs(out)
+        lock = os.path.join(out, ".evsplat.lock")
+        with open(lock, "w") as f:
+            f.write(str(child.pid))
+        code = run(parse(["render", "--data", tiny_dataset, "--checkpoint",
+                          os.path.join(tiny_dataset, "gt_scene.egs"),
+                          "--frame", "0", "--out", out]))
+        assert code == 0
+        assert os.path.exists(os.path.join(out, "render_000.pnm"))
+        assert not os.path.exists(lock)
+
+    def test_lock_holds_owner_pid(self, tmp_path):
+        from evsplat.cli import _OutputLock
+        with _OutputLock(str(tmp_path)) as held:
+            assert open(held.path).read() == str(os.getpid())
+        assert not os.path.exists(held.path)
 
     def test_simulate_and_map_exposure(self, tmp_path, rng):
         frames_dir = tmp_path / "frames"

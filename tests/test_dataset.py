@@ -301,3 +301,15 @@ class TestSyntheticGeneration:
         np.testing.assert_allclose(loaded.exposure_frames[1].image,
                                    ds.exposure_frames[1].image, atol=1e-4)
         assert loaded.init_cloud is not None
+
+    def test_empty_exposure_mask_rejected_at_load(self, tmp_path):
+        # on a black background the dim Gaussian tails never fire, so masks are written
+        spec = SyntheticSceneSpec(resolution=(16, 16), frames=4, stops=4,
+                                  init_points=9, levels=20, background=0.0)
+        write_dataset(str(tmp_path), generate_synthetic_scene(spec))
+        masks = [e["mask"] for e in load_dataset(str(tmp_path)).manifest.exposure_frames
+                 if e["mask"]]
+        assert masks
+        write_pnm(str(tmp_path / masks[-1]), np.zeros((16, 16)))
+        with pytest.raises(FormatError, match=masks[-1]):
+            load_dataset(str(tmp_path))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from evsplat.dataset import SyntheticSceneSpec, generate_synthetic_scene
 from evsplat.events import EventModelConfig, EventStream
 from evsplat.exposure import (TransmittanceProfile, cumulative_exposure, extract_ipe,
                               map_temporal_to_intensity, scale_foreground,
-                              simulate_exposure_events, transmittance_at)
+                              simulate_exposure_events, simulate_ipe, transmittance_at)
 
 LINEAR = TransmittanceProfile("linear", 1.0)
 
@@ -63,60 +64,49 @@ class TestCumulativeExposure:
 class TestExtractIpe:
     def test_first_positive_wins(self):
         s = EventStream.create((2, 1), [0, 0], [0, 0], [400_000, 700_000], [1, 1])
-        tm = extract_ipe(s, 0)
-        assert tm.t_star[0, 0] == pytest.approx(0.4)
+        assert extract_ipe(s, 0)[0, 0] == pytest.approx(0.4)
 
     def test_negative_only_invalid(self):
         s = EventStream.create((2, 1), [0, 1], [0, 0], [100, 200], [-1, 1])
-        tm = extract_ipe(s, 0)
-        assert not np.isfinite(tm.t_star[0, 0])
-        assert np.isfinite(tm.t_star[0, 1])
+        t_star = extract_ipe(s, 0)
+        assert not np.isfinite(t_star[0, 0])
+        assert np.isfinite(t_star[0, 1])
 
     def test_empty_all_invalid(self):
-        tm = extract_ipe(EventStream.empty((3, 3)), 0)
-        assert not np.isfinite(tm.t_star).any()
+        t_star = extract_ipe(EventStream.empty((3, 3)), 0)
+        assert t_star.shape == (3, 3)
+        assert not np.isfinite(t_star).any()
 
     def test_events_before_open_ignored(self):
         s = EventStream.create((1, 1), [0, 0], [0, 0], [100, 500], [1, 1])
-        tm = extract_ipe(s, 200)
-        assert tm.t_star[0, 0] == pytest.approx(300e-6)
+        assert extract_ipe(s, 200)[0, 0] == pytest.approx(300e-6)
 
 
 class TestTemporalToIntensity:
     def test_two_pixel_example(self):
         # linear profile, t_end 1, C 0.1, t* {1.0, 0.5} -> I {0.2, 0.8} -> {0.25, 1.0}
-        from evsplat.exposure import TemporalMatrix
-        tm = TemporalMatrix((2, 1), np.array([[1.0, 0.5]]))
-        fr = map_temporal_to_intensity(tm, LINEAR, 0.1)
+        fr = map_temporal_to_intensity(np.array([[1.0, 0.5]]), LINEAR, 0.1)
         np.testing.assert_allclose(fr.image, [[0.25, 1.0]])
 
     def test_single_valid_pixel_is_one(self):
-        from evsplat.exposure import TemporalMatrix
-        tm = TemporalMatrix((2, 1), np.array([[0.7, np.nan]]))
-        fr = map_temporal_to_intensity(tm, LINEAR, 0.1)
+        fr = map_temporal_to_intensity(np.array([[0.7, np.nan]]), LINEAR, 0.1)
         assert fr.image[0, 0] == 1.0
         assert fr.image[0, 1] == 0.0
         assert not fr.mask[0, 1]
 
     def test_uniform_t_star_uniform_frame(self):
-        from evsplat.exposure import TemporalMatrix
-        tm = TemporalMatrix((3, 3), np.full((3, 3), 0.4))
-        fr = map_temporal_to_intensity(tm, LINEAR, 0.1)
+        fr = map_temporal_to_intensity(np.full((3, 3), 0.4), LINEAR, 0.1)
         np.testing.assert_allclose(fr.image, 1.0)
 
     def test_all_invalid_rejected(self):
-        from evsplat.exposure import TemporalMatrix
-        tm = TemporalMatrix((2, 2), np.full((2, 2), np.nan))
         with pytest.raises(ValueError):
-            map_temporal_to_intensity(tm, LINEAR, 0.1)
+            map_temporal_to_intensity(np.full((2, 2), np.nan), LINEAR, 0.1)
 
     def test_percentile_clip_tames_hot_pixel(self):
-        from evsplat.exposure import TemporalMatrix
         t_star = np.full((10, 10), 0.5)
         t_star[0, 0] = 1e-4              # simulated hot pixel fires absurdly early
-        tm = TemporalMatrix((10, 10), t_star)
-        plain = map_temporal_to_intensity(tm, LINEAR, 0.1)
-        clipped = map_temporal_to_intensity(tm, LINEAR, 0.1, clip_percentile=99.0)
+        plain = map_temporal_to_intensity(t_star, LINEAR, 0.1)
+        clipped = map_temporal_to_intensity(t_star, LINEAR, 0.1, clip_percentile=99.0)
         assert plain.image[5, 5] < 1e-6          # hot pixel crushed the rest
         assert clipped.image[5, 5] == pytest.approx(1.0)
 
@@ -128,13 +118,12 @@ class TestSimulateExposure:
         # I = 0.2 with C = 0.1 on the linear ramp crosses at t* = 1.0
         img = np.array([[0.2]])
         s = simulate_exposure_events(img, LINEAR, self.CFG, levels=4000)
-        tm = extract_ipe(s)
-        assert tm.t_star[0, 0] == pytest.approx(1.0, rel=1e-3)
+        assert extract_ipe(s)[0, 0] == pytest.approx(1.0, rel=1e-3)
 
     def test_brighter_is_earlier(self):
         img = np.array([[0.8]])
         s = simulate_exposure_events(img, LINEAR, self.CFG, levels=4000)
-        assert extract_ipe(s).t_star[0, 0] == pytest.approx(0.5, rel=1e-3)
+        assert extract_ipe(s)[0, 0] == pytest.approx(0.5, rel=1e-3)
 
     def test_zero_intensity_silent(self):
         s = simulate_exposure_events(np.zeros((3, 3)), LINEAR, self.CFG)
@@ -151,7 +140,7 @@ class TestSimulateExposure:
         img = np.array([[0.2, 0.4, 0.9]])
         cfg = EventModelConfig(contrast_threshold=0.02)
         s = simulate_exposure_events(img, LINEAR, cfg, levels=400)
-        t = extract_ipe(s).t_star[0]
+        t = extract_ipe(s)[0]
         assert t[2] < t[1] < t[0]
 
     def test_round_trip_proportional(self, rng):
@@ -172,6 +161,58 @@ class TestSimulateExposure:
             frames.append(map_temporal_to_intensity(extract_ipe(s), LINEAR,
                                                     cfg.contrast_threshold).image)
         np.testing.assert_allclose(frames[0], frames[1], atol=2e-3)
+
+
+class TestSimulateIpe:
+    """simulate_ipe is the exposure simulator's IPE without the event stream."""
+
+    @staticmethod
+    def assert_matches_stream(img, profile, cfg, levels):
+        full = extract_ipe(simulate_exposure_events(img, profile, cfg, levels))
+        fast = simulate_ipe(img, profile, cfg, levels)
+        assert fast.shape == np.shape(img)
+        assert np.array_equal(fast, full, equal_nan=True)
+
+    def test_toy_stops(self):
+        # every stop of the seed-0 toy spec, as make-synthetic builds them
+        spec = SyntheticSceneSpec(seed=0)
+        ds = generate_synthetic_scene(spec)
+        profile = TransmittanceProfile("linear", spec.exposure_t_end)
+        cfg = EventModelConfig(contrast_threshold=spec.exposure_contrast, gamma=spec.gamma)
+        assert len(ds.gt_frames) == 200
+        for gt in ds.gt_frames:
+            self.assert_matches_stream(gt, profile, cfg, spec.levels)
+
+    @pytest.mark.parametrize("levels", [2, 7, 100, 400])
+    def test_random_images_with_dark_pixels(self, levels):
+        rng = np.random.default_rng(levels)
+        for _ in range(5):
+            img = rng.uniform(0.0, 1.5, size=(12, 10))
+            img[rng.uniform(size=img.shape) < 0.2] = 0.0
+            c = float(rng.uniform(0.002, 0.2))
+            self.assert_matches_stream(img, LINEAR, EventModelConfig(contrast_threshold=c),
+                                       levels)
+
+    def test_sampled_profile(self, rng):
+        # TR stays 0 over the first tenth of the ramp, so early steps add no charge
+        prof = TransmittanceProfile("sampled", 2.0, samples=np.array(
+            [[0.0, 0.0], [0.2, 0.0], [1.0, 0.3], [2.0, 1.0]]))
+        img = rng.uniform(0.0, 1.0, size=(16, 16))
+        img[3:6, 4:9] = 0.0
+        self.assert_matches_stream(img, prof, EventModelConfig(contrast_threshold=0.01), 150)
+
+    def test_all_zero_image_all_nan(self):
+        t_star = simulate_ipe(np.zeros((4, 5)), LINEAR, EventModelConfig(), 100)
+        assert t_star.shape == (4, 5)
+        assert np.isnan(t_star).all()
+        self.assert_matches_stream(np.zeros((4, 5)), LINEAR, EventModelConfig(), 100)
+
+    def test_rejects_what_the_simulator_rejects(self):
+        cfg = EventModelConfig()
+        with pytest.raises(ValueError):
+            simulate_ipe(np.array([[-0.1]]), LINEAR, cfg)
+        with pytest.raises(ValueError):
+            simulate_ipe(np.ones((2, 2)), LINEAR, cfg, levels=1)
 
 
 class TestScaleForeground:
