@@ -329,8 +329,8 @@ def make_train_data(loaded: dio.LoadedDataset, init_scene, event_cfg=None) -> Tr
 
 
 def _run_train(cmd: Command) -> int:
-    loaded = dio.load_dataset(cmd.data)
     cfg = cmd.config
+    loaded = dio.load_dataset(cmd.data, with_events=cfg.lambda_weight > 0.0)
     background = cfg.init.background
     if background is None:
         background = loaded.manifest.background
@@ -379,7 +379,7 @@ def _run_render(cmd: Command) -> int:
 
 def _run_eval(cmd: Command) -> int:
     scene = load_scene(cmd.checkpoint)
-    loaded = dio.load_dataset(cmd.data)
+    loaded = dio.load_dataset(cmd.data, with_events=False)
     manifest = loaded.manifest
     gt = loaded.gt_frames
     if not gt:

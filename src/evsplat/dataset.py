@@ -556,10 +556,11 @@ class LoadedDataset:
     init_cloud: PointCloud | None
 
 
-def load_dataset(root: str) -> LoadedDataset:
+def load_dataset(root: str, with_events: bool = True) -> LoadedDataset:
+    """Read a dataset directory; the event stream only ``with_events``."""
     manifest = read_manifest(os.path.join(root, "manifest.json"))
     events = None
-    if manifest.event_file:
+    if with_events and manifest.event_file:
         events = read_events(os.path.join(root, manifest.event_file))
     frames = []
     for entry in manifest.exposure_frames:

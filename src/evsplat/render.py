@@ -6,10 +6,13 @@ constant background.  Per-pixel blending terminates once transmittance falls
 below TERMINATE_TRANSMITTANCE.
 
 The per-Gaussian footprint is the region where the projected Gaussian's
-alpha can exceed ALPHA_MIN; with ALPHA_MIN = 1e-12 the truncation sits below
-double-precision visibility, so the rendered function is smooth to the
-resolution of central finite differences, which the analytic backward pass
-is verified against.
+alpha can exceed ALPHA_MIN, the ellipse q <= q_cut in Mahalanobis distance;
+with ALPHA_MIN = 1e-12 the truncation sits below double-precision
+visibility, so the rendered function is smooth to the resolution of central
+finite differences, which the analytic backward pass is verified against.
+Pairs are built only on the ellipse's rows and, per row, on the conic's
+x-interval, both widened by a small margin; the exact q <= q_cut test then
+decides which pairs are composited.
 
 Implementation: flat arrays over (gaussian, pixel-in-footprint) pairs,
 processed in depth-ordered chunks.  Within a chunk, elements are stably
@@ -36,6 +39,10 @@ TERMINATE_TRANSMITTANCE = 1e-4
 COV2D_DILATION = 0.3
 NEAR_PLANE = 0.01
 CHUNK_SIZE = 512
+# pixels added to each side of a footprint's rows and row intervals, plus
+# 1e-4 of its radius because the rounding of the interval solve grows with
+# it; far above that rounding, so every pixel with q <= q_cut is built
+FOOTPRINT_MARGIN = 0.01
 
 
 @dataclass
@@ -162,20 +169,48 @@ def _project(scene: GaussianScene, cam: CameraModel) -> Projection:
 
 
 def _chunk_footprints(proj: Projection, lo: int, hi: int, width: int):
-    """Flat (gaussian, pixel) arrays for Gaussians [lo, hi), depth-major order."""
+    """Flat (gaussian, pixel) arrays for Gaussians [lo, hi): Gaussian-major,
+    row-major, x ascending.
+
+    Each Gaussian covers the rows of its cutoff ellipse q <= q_cut and, on
+    each row, the conic's x-interval, both widened by FOOTPRINT_MARGIN and
+    clipped to its rect.  With Sigma = [[a, b], [b, c]], the ellipse spans
+    dy^2 <= q_cut c, and row dy spans dx = (b/c) dy +- sqrt(det (q_cut c - dy^2)) / c.
+    """
     ids = np.arange(lo, hi, dtype=np.int32)
-    rect = proj.rect[ids]
-    rw = (rect[:, 1] - rect[:, 0] + 1).astype(np.int32)
-    rh = (rect[:, 3] - rect[:, 2] + 1).astype(np.int32)
-    counts = (rw * rh).astype(np.int64)
-    total = int(counts.sum())
-    gi = np.repeat(ids, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    local = (np.arange(total, dtype=np.int64)
-             - np.repeat(offsets, counts)).astype(np.int32)
-    gl = np.repeat(np.arange(len(ids), dtype=np.int32), counts)
-    px = rect[gl, 0].astype(np.int32) + local % rw[gl]
-    py = rect[gl, 2].astype(np.int32) + local // rw[gl]
+    rect = proj.rect[lo:hi]
+    mx = proj.mean2d[lo:hi, 0]
+    my = proj.mean2d[lo:hi, 1]
+    a = proj.cov2d[lo:hi, 0, 0]
+    b = proj.cov2d[lo:hi, 0, 1]
+    c = proj.cov2d[lo:hi, 1, 1]
+    q_cut = proj.q_cut[lo:hi]
+    ry2 = q_cut * c
+    ry = np.sqrt(ry2)
+    pad = FOOTPRINT_MARGIN * (1.0 + 1e-4 * np.sqrt(q_cut * (a + c)))
+    slope = b / c
+    shrink = np.sqrt(a * c - b * b) / c
+
+    y0 = np.maximum(np.ceil(my - ry - pad), rect[:, 2]).astype(np.int32)
+    y1 = np.minimum(np.floor(my + ry + pad), rect[:, 3]).astype(np.int32)
+    rows = np.maximum(y1 - y0 + 1, 0)
+
+    def per_row(v):
+        return np.repeat(v, rows)
+
+    # a chunk's pair count fits int32: its flat arrays would not fit in memory otherwise
+    row_start = np.cumsum(rows, dtype=np.int32) - rows
+    y = per_row(y0 - row_start) + np.arange(rows.sum(), dtype=np.int32)
+    dy = y - per_row(my)
+    half = per_row(shrink) * np.sqrt(np.maximum(per_row(ry2) - dy * dy, 0.0)) + per_row(pad)
+    centre = per_row(mx) + per_row(slope) * dy
+    x0 = np.maximum(np.ceil(centre - half), per_row(rect[:, 0])).astype(np.int32)
+    x1 = np.minimum(np.floor(centre + half), per_row(rect[:, 1])).astype(np.int32)
+    counts = np.maximum(x1 - x0 + 1, 0)
+    seg_start = np.cumsum(counts, dtype=np.int32) - counts
+    gi = np.repeat(per_row(ids), counts)
+    py = np.repeat(y, counts)
+    px = np.repeat(x0 - seg_start, counts) + np.arange(len(gi), dtype=np.int32)
     pix = py * np.int32(width) + px
     return gi, px, py, pix
 

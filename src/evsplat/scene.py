@@ -115,10 +115,15 @@ def load_scene(path: str) -> GaussianScene:
         if len(tail) != 4:
             raise ValueError("missing background value")
     block = np.frombuffer(data, dtype="<f4").reshape(n, _FLOATS_PER_GAUSSIAN).astype(np.float64)
+    quats = block[:, 3:7]
+    bad = np.flatnonzero(~np.isfinite(quats).all(axis=1) | ~quats.any(axis=1))
+    if bad.size:
+        raise ValueError(f"checkpoint record {bad[0]}: quaternion {quats[bad[0]].tolist()} "
+                         "is zero or not finite")
     background = float(np.frombuffer(tail, dtype="<f4")[0])
     return GaussianScene(
         means=block[:, 0:3],
-        quats=block[:, 3:7],
+        quats=quats,
         log_scales=block[:, 7:10],
         opacity_logits=block[:, 10],
         intensities=block[:, 11],

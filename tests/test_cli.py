@@ -197,6 +197,34 @@ class TestPipeline:
         assert (open(str(tmp_path / "a" / name), "rb").read()
                 == open(str(tmp_path / "b" / name), "rb").read())
 
+    def test_unused_event_file_not_read(self, tiny_dataset, tmp_path, capsys):
+        # eval and hq training never read the motion-event stream
+        import shutil
+        partial = str(tmp_path / "partial")
+        shutil.copytree(tiny_dataset, partial)
+        os.remove(os.path.join(partial, "events.evt1"))
+        train = ["train", "--data", partial, "--set", "iterations=3",
+                 "--set", "warmup_iters=1"]
+        assert run(parse(train + ["--mode", "hq", "--out", str(tmp_path / "hq")])) == 0
+        assert run(parse(["eval", "--data", partial, "--checkpoint",
+                          os.path.join(tiny_dataset, "gt_scene.egs"),
+                          "--out", str(tmp_path / "e")])) == 0
+        capsys.readouterr()
+        assert run(parse(train + ["--mode", "fast", "--out", str(tmp_path / "fast")])) == 1
+        assert "events.evt1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["render", "eval"])
+    def test_zero_quaternion_checkpoint_exits_one(self, sub, tiny_dataset, tmp_path, capsys):
+        from evsplat.scene import load_scene, save_scene
+        scene = load_scene(os.path.join(tiny_dataset, "gt_scene.egs"))
+        scene.quats[1] = 0.0
+        ckpt = str(tmp_path / "zero.egs")
+        save_scene(ckpt, scene)
+        argv = [sub, "--data", tiny_dataset, "--checkpoint", ckpt, "--out", str(tmp_path / "o")]
+        assert run(parse(argv + (["--frame", "0"] if sub == "render" else []))) == 1
+        assert "record 1" in capsys.readouterr().err
+        assert os.listdir(str(tmp_path / "o")) == []
+
     def test_render_bad_frame_exits_one(self, tiny_dataset, tmp_path, capsys):
         code = run(parse(["render", "--data", tiny_dataset, "--checkpoint",
                           os.path.join(tiny_dataset, "gt_scene.egs"),

@@ -2,12 +2,15 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import empty_scene, random_scene, reference_render, small_camera
 
 from evsplat.backward import render_backward
 from evsplat.camera import CameraModel
 from evsplat.quat import quat_normalize, quat_to_rot, rot_to_quat
+import evsplat.render as R
 from evsplat.render import CHUNK_SIZE, COV2D_DILATION, _project, render
 from evsplat.scene import Gaussian3D, GaussianScene
 
@@ -36,6 +39,77 @@ def multi_chunk_scene(rng, back=40):
                          rng.uniform(0.05, 1.0, n), background=0.4)
 
 
+PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+TAPE_FIELDS = ("chunk_offsets", "pix", "gi", "dx", "dy", "alpha", "t_before",
+               "live", "t_final")
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# logit -27.631 is alpha = ALPHA_MIN, where q_cut reaches 0
+LOGITS = st.one_of(floats(-27.6, 9.0), floats(-27.631, -27.55))
+GAUSSIAN = st.tuples(
+    st.tuples(floats(-3.0, 3.0), floats(-3.0, 3.0), floats(0.02, 8.0)),
+    st.tuples(floats(-1.0, 1.0), floats(-1.0, 1.0), floats(-1.0, 1.0),
+              floats(-1.0, 1.0)).filter(lambda q: np.linalg.norm(q) > 1e-3),
+    st.tuples(floats(-7.0, 1.5), floats(-7.0, 1.5), floats(-7.0, 1.5)),
+    LOGITS, floats(0.0, 1.0))
+
+
+@st.composite
+def scenes_and_cameras(draw, max_n=8):
+    """Gaussians of extreme anisotropy, any rotation and any size down to
+    sub-pixel, seen by a camera whose principal point may lie off screen, so
+    footprints are clipped at every image edge."""
+    gs = draw(st.lists(GAUSSIAN, min_size=1, max_size=max_n))
+    scene = GaussianScene(np.array([g[0] for g in gs]), np.array([g[1] for g in gs]),
+                          np.array([g[2] for g in gs]), np.array([g[3] for g in gs]),
+                          np.array([g[4] for g in gs]), background=draw(floats(0.0, 1.0)))
+    f = draw(floats(3.0, 400.0))
+    cam = CameraModel(fx=f, fy=f * draw(floats(0.3, 3.0)), cx=draw(floats(-30.0, 80.0)),
+                      cy=draw(floats(-30.0, 80.0)), width=draw(st.integers(1, 48)),
+                      height=draw(st.integers(1, 48)))
+    return scene, cam
+
+
+def rect_footprints(proj, lo, hi, width):
+    """Reference expansion: every pixel of each Gaussian's bounding rectangle,
+    Gaussian-major, row-major."""
+    parts = []
+    for g in range(lo, hi):
+        x0, x1, y0, y1 = proj.rect[g]
+        ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
+        parts.append((np.full(xs.size, g), xs.ravel(), ys.ravel()))
+    gi, px, py = (np.concatenate([p[i] for p in parts]).astype(np.int32) for i in range(3))
+    return gi, px, py, py * np.int32(width) + px
+
+
+def within_cutoff(proj, gi, px, py):
+    """The compositor's test, evaluated the same way: alpha >= ALPHA_MIN."""
+    dx = px - proj.mean2d[gi, 0]
+    dy = py - proj.mean2d[gi, 1]
+    inv = proj.cov2d_inv[gi]
+    q = inv[:, 0, 0] * dx * dx + 2.0 * inv[:, 0, 1] * dx * dy + inv[:, 1, 1] * dy * dy
+    return q <= proj.q_cut[gi]
+
+
+def assert_same_survivors(proj, lo, hi, width):
+    tight = R._chunk_footprints(proj, lo, hi, width)
+    ref = rect_footprints(proj, lo, hi, width)
+    for arr in tight:
+        assert arr.dtype == np.int32
+    gi, px, py, _ = tight
+    rect = proj.rect[gi]
+    assert np.all((rect[:, 0] <= px) & (px <= rect[:, 1])
+                  & (rect[:, 2] <= py) & (py <= rect[:, 3]))
+    keep_t, keep_r = within_cutoff(proj, *tight[:3]), within_cutoff(proj, *ref[:3])
+    for t, r in zip(tight, ref):
+        np.testing.assert_array_equal(t[keep_t], r[keep_r])
+    return len(gi), len(ref[0])
+
+
 class TestProjection:
     def test_axis_aligned_example(self):
         # camera-frame mean (0,0,2), fx = fy = 100, unit covariance
@@ -60,10 +134,17 @@ class TestProjection:
 
 
 class TestRenderForward:
-    def test_empty_scene_pure_background(self):
-        out = render(empty_scene(background=0.5), small_camera())
-        np.testing.assert_array_equal(out.image, np.full((16, 16), 0.5))
-        np.testing.assert_array_equal(out.final_transmittance, np.ones((16, 16)))
+    @PROPERTY
+    @given(floats(0.0, 1.0), st.integers(1, 48), st.integers(1, 48), st.booleans())
+    def test_empty_scene_pure_background(self, background, w, h, behind):
+        cam = CameraModel(fx=30.0, fy=30.0, cx=w / 2, cy=h / 2, width=w, height=h)
+        scene = empty_scene(background)
+        if behind:  # a Gaussian behind the camera is culled
+            scene = single_gaussian_scene(mean=(0.0, 0.0, -2.0), background=background)
+        out = render(scene, cam, keep_tape=True)
+        np.testing.assert_array_equal(out.image, np.full((h, w), background))
+        np.testing.assert_array_equal(out.final_transmittance, np.ones((h, w)))
+        assert len(out.tape.pix) == 0
 
     def test_single_opaque_gaussian_center_value(self):
         scene = single_gaussian_scene(intensity=0.8)
@@ -116,17 +197,36 @@ class TestRenderForward:
                 arr[k] = orig
                 assert grad[k] == pytest.approx((lp - lm) / (2 * h), rel=1e-5, abs=1e-9)
 
-    def test_compositing_identity(self, rng):
+    @PROPERTY
+    @given(scenes_and_cameras(max_n=30))
+    def test_compositing_identity(self, view):
         # image == blended contributions + background * final transmittance
-        scene = random_scene(rng, 12)
-        cam = small_camera()
-        out = render(scene, cam)
-        no_bg = GaussianScene(scene.means, scene.quats, scene.log_scales,
-                              scene.opacity_logits, scene.intensities, background=0.0)
-        contributions = render(no_bg, cam).image
+        scene, cam = view
+        out = render(scene, cam, keep_tape=True)
+        tape = out.tape
+        weights = np.where(tape.live, tape.alpha * tape.t_before, 0.0)
+        colors = scene.intensities[tape.proj.orig_idx][tape.gi]
+        contributions = np.bincount(tape.pix, weights=weights * colors,
+                                    minlength=cam.width * cam.height)
         np.testing.assert_allclose(
-            out.image, contributions + scene.background * out.final_transmittance,
-            atol=1e-12)
+            out.image.ravel(), contributions + scene.background * tape.t_final,
+            rtol=0, atol=1e-12)
+
+    @settings(max_examples=10, deadline=None, database=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200))
+    def test_transmittance_never_increases_across_chunks(self, seed, back):
+        scene = multi_chunk_scene(np.random.default_rng(seed), back=back)
+        tape = render(scene, small_camera(), keep_tape=True).tape
+        assert len(tape.chunk_offsets) - 1 >= 2
+        t = np.ones(16 * 16)
+        for lo, hi in zip(tape.chunk_offsets[:-1], tape.chunk_offsets[1:]):
+            pix, alpha, live = tape.pix[lo:hi], tape.alpha[lo:hi], tape.live[lo:hi]
+            assert np.all(tape.t_before[lo:hi] <= t[pix])
+            step = np.exp(np.bincount(pix, weights=np.where(live, np.log1p(-alpha), 0.0),
+                                      minlength=t.size))
+            assert np.all(step <= 1.0)
+            t = t * step
+        np.testing.assert_allclose(t, tape.t_final, rtol=1e-12, atol=0)
 
     def test_energy_bound(self, rng):
         for seed in range(5):
@@ -191,6 +291,70 @@ class TestRenderDepth:
         cam = CameraModel(fx=40.0, fy=40.0, cx=8.0, cy=8.0, width=16, height=16)
         depth = render(scene, cam, compute_depth=True).depth
         assert depth[8, 8] == pytest.approx(2.0, abs=1e-2)
+
+
+class TestTightFootprints:
+    @PROPERTY
+    @given(scenes_and_cameras(), st.integers(0, 7))
+    def test_every_pixel_within_cutoff_is_built(self, view, lo):
+        scene, cam = view
+        proj = _project(scene, cam)
+        m = len(proj.orig_idx)
+        if m:
+            assert_same_survivors(proj, min(lo, m - 1), m, cam.width)
+
+    @PROPERTY
+    @given(GAUSSIAN, st.sampled_from(["top", "bottom", "left", "right"]),
+           st.integers(0, 23), st.integers(0, 23), floats(3.0, 400.0))
+    def test_tangent_point_on_a_pixel_centre(self, g, side, tx, ty, f):
+        # the rows and the x-interval are tightest where the ellipse touches
+        # a pixel centre; the margin must keep that pixel
+        scene = GaussianScene.from_gaussians([Gaussian3D(*(np.array(v) for v in g))])
+        cam = CameraModel(fx=f, fy=f, cx=12.0, cy=12.0, width=24, height=24)
+        proj = _project(scene, cam)
+        if not len(proj.orig_idx):
+            return
+        (a, b), (_, c) = proj.cov2d[0]
+        ry, rx = np.sqrt(proj.q_cut[0] * c), np.sqrt(proj.q_cut[0] * a)
+        proj.mean2d[0] = {"top": (tx + b / c * ry, ty + ry),
+                          "bottom": (tx - b / c * ry, ty - ry),
+                          "left": (tx + rx, ty + b / a * rx),
+                          "right": (tx - rx, ty - b / a * rx)}[side]
+        proj.rect[0] = (0, 23, 0, 23)
+        assert_same_survivors(proj, 0, 1, cam.width)
+
+    def test_fewer_pairs_than_the_rectangle(self):
+        scene = multi_chunk_scene(np.random.default_rng(3))
+        proj = _project(scene, small_camera())
+        built, rect = assert_same_survivors(proj, 0, len(proj.orig_idx), 16)
+        assert built < rect
+
+    @PROPERTY
+    @given(scenes_and_cameras(max_n=30))
+    def test_render_matches_rectangle_expansion(self, view):
+        scene, cam = view
+        self._assert_bit_identical(scene, cam)
+
+    def test_multi_chunk_render_matches_rectangle_expansion(self):
+        for seed in range(3):
+            self._assert_bit_identical(multi_chunk_scene(np.random.default_rng(seed)),
+                                       small_camera())
+
+    @staticmethod
+    def _assert_bit_identical(scene, cam):
+        upstream = np.random.default_rng(0).normal(size=(cam.height, cam.width))
+        runs = []
+        for footprints in (R._chunk_footprints, rect_footprints):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(R, "_chunk_footprints", footprints)
+                out = render(scene, cam, keep_tape=True)
+            buf = render_backward(scene, cam, upstream, out.tape)
+            runs.append([out.image, out.final_transmittance]
+                        + [getattr(out.tape, f) for f in TAPE_FIELDS]
+                        + [getattr(buf, f) for f in vars(buf)])
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def test_render_module_is_not_shadowed():

@@ -119,6 +119,16 @@ class TestCheckpoint:
             assert getattr(back, name).shape == shape
             assert getattr(back, name).dtype == np.float64
 
+    @pytest.mark.parametrize("quat", [(0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, -0.0, 0.0),
+                                      (np.nan, 0.0, 0.0, 1.0), (1.0, np.inf, 0.0, 0.0)])
+    def test_degenerate_quaternion_rejected(self, rng, tmp_path, quat):
+        scene = self._scene(rng, n=4)
+        scene.quats[2] = quat
+        path = str(tmp_path / "bad_quat.egs")
+        save_scene(path, scene)
+        with pytest.raises(ValueError, match="record 2: quaternion"):
+            load_scene(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "bad.egs")
         with open(path, "wb") as f:
