@@ -255,25 +255,3 @@ def simulate_ipe(
         charge = new_charge
     return t_star.reshape(np.shape(img))
 
-
-def scale_foreground(
-    img: IntensityImage,
-    mask: np.ndarray,
-    factor: float,
-    ceiling: float | None = None,
-) -> IntensityImage:
-    """Multiply masked pixels by factor, optionally clipping at a saturation ceiling.
-
-    The ceiling models a frame camera's full-well limit for over-exposure
-    studies; event-based exposure simulation is fed the unclipped image.
-    """
-    if factor <= 0:
-        raise ValueError("factor must be > 0")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != np.asarray(img).shape:
-        raise ValueError("mask resolution must match the image")
-    out = np.array(img, dtype=np.float64, copy=True)
-    out[mask] *= factor
-    if ceiling is not None:
-        out[mask] = np.minimum(out[mask], ceiling)
-    return out

@@ -35,6 +35,24 @@ def random_scene(rng, n, background=0.4, logit_range=(-2.0, 2.0)):
     return GaussianScene(means, quats, log_scales, logits, intens, background=background)
 
 
+def scale_foreground(img, mask, factor, ceiling=None):
+    """Multiply masked pixels by factor, optionally clipping at a saturation ceiling.
+
+    The ceiling models a frame camera's full-well limit for over-exposure
+    studies; event-based exposure simulation is fed the unclipped image.
+    """
+    if factor <= 0:
+        raise ValueError("factor must be > 0")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != np.asarray(img).shape:
+        raise ValueError("mask resolution must match the image")
+    out = np.array(img, dtype=np.float64, copy=True)
+    out[mask] *= factor
+    if ceiling is not None:
+        out[mask] = np.minimum(out[mask], ceiling)
+    return out
+
+
 def empty_scene(background=0.0):
     return GaussianScene(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros((0, 3)),
                          np.zeros(0), np.zeros(0), background)

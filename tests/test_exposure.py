@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import scale_foreground
+
 from evsplat.dataset import SyntheticSceneSpec, generate_synthetic_scene
 from evsplat.events import EventModelConfig, EventStream
 from evsplat.exposure import (TransmittanceProfile, cumulative_exposure, extract_ipe,
-                              map_temporal_to_intensity, scale_foreground,
-                              simulate_exposure_events, simulate_ipe, transmittance_at)
+                              map_temporal_to_intensity, simulate_exposure_events,
+                              simulate_ipe, transmittance_at)
 
 LINEAR = TransmittanceProfile("linear", 1.0)
 

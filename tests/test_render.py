@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -7,12 +11,15 @@ from hypothesis import strategies as st
 
 from conftest import empty_scene, random_scene, reference_render, small_camera
 
+import evsplat
 from evsplat.backward import render_backward
 from evsplat.camera import CameraModel
 from evsplat.quat import quat_normalize, quat_to_rot, rot_to_quat
 import evsplat.render as R
-from evsplat.render import CHUNK_SIZE, COV2D_DILATION, _project, render
+from evsplat.render import (ALPHA_MIN, CHUNK_SIZE, COV2D_DILATION,
+                            TERMINATE_TRANSMITTANCE, _project, render)
 from evsplat.scene import Gaussian3D, GaussianScene
+from evsplat.training import TRAIN_ALPHA_MIN
 
 
 def single_gaussian_scene(mean=(0.0, 0.0, 2.0), logit=12.0, intensity=0.8,
@@ -42,6 +49,10 @@ def multi_chunk_scene(rng, back=40):
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 TAPE_FIELDS = ("chunk_offsets", "pix", "gi", "dx", "dy", "alpha", "t_before",
                "live", "t_final")
+
+
+def render_arrays(out):
+    return [out.image, out.final_transmittance] + [getattr(out.tape, f) for f in TAPE_FIELDS]
 
 
 def floats(lo, hi):
@@ -349,12 +360,109 @@ class TestTightFootprints:
                 mp.setattr(R, "_chunk_footprints", footprints)
                 out = render(scene, cam, keep_tape=True)
             buf = render_backward(scene, cam, upstream, out.tape)
-            runs.append([out.image, out.final_transmittance]
-                        + [getattr(out.tape, f) for f in TAPE_FIELDS]
-                        + [getattr(buf, f) for f in vars(buf)])
+            runs.append(render_arrays(out) + [getattr(buf, f) for f in vars(buf)])
         for got, want in zip(*runs):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+class TestAlphaCutoff:
+    CUTOFFS = st.one_of(st.just(TRAIN_ALPHA_MIN), floats(-11.9, -0.3).map(lambda e: 10.0 ** e))
+
+    @PROPERTY
+    @given(scenes_and_cameras(max_n=30))
+    def test_explicit_default_is_the_default(self, view):
+        scene, cam = view
+        default = render(scene, cam, keep_tape=True)
+        explicit = render(scene, cam, keep_tape=True, alpha_min=ALPHA_MIN)
+        for got, want in zip(render_arrays(explicit), render_arrays(default)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @PROPERTY
+    @given(scenes_and_cameras(max_n=30), CUTOFFS)
+    def test_truncated_render_stays_within_its_bound(self, view, alpha_min):
+        assert_within_truncation_bound(*view, alpha_min)
+
+    @pytest.mark.parametrize("alpha_min", [1e-6, TRAIN_ALPHA_MIN])
+    def test_terminated_pixels_stay_within_the_bound(self, alpha_min):
+        for seed in range(3):
+            scene = multi_chunk_scene(np.random.default_rng(seed))
+            terminated = assert_within_truncation_bound(scene, small_camera(), alpha_min)
+            assert terminated.any()
+
+
+def assert_within_truncation_bound(scene, cam, alpha_min):
+    """Check a render at alpha_min against the exact one; returns the mask of
+    pixels where the exact render terminated."""
+    exact = render(scene, cam, keep_tape=True)
+    cut = render(scene, cam, keep_tape=True, alpha_min=alpha_min)
+    # the exp that gives alpha rounds by a few ulps at the cutoff itself
+    assert np.all(cut.tape.alpha >= alpha_min * (1.0 - 1e-12))
+    # Removing one layer of alpha a, under transmittance T <= 1, changes a
+    # pixel by a T (c - R), with its colour c and the composite R behind it
+    # both in [0, top]; so the pairs of the exact tape below alpha_min move a
+    # pixel by at most their count * alpha_min * top.  Where the exact pixel
+    # terminated, each render also differs from its unterminated composite by
+    # under TERMINATE_TRANSMITTANCE * top, and layers behind the termination
+    # may count too, so every projected Gaussian counts.
+    top = max(float(scene.intensities.max()), float(scene.background))
+    dropped = np.bincount(exact.tape.pix[exact.tape.alpha < alpha_min * (1.0 + 1e-9)],
+                          minlength=cam.width * cam.height)
+    terminated = exact.tape.t_final < TERMINATE_TRANSMITTANCE * (1.0 + 1e-9)
+    layers = np.where(terminated, len(exact.tape.proj.orig_idx), dropped)
+    bound = top * (layers * alpha_min
+                   + np.where(terminated, 2 * TERMINATE_TRANSMITTANCE, 0.0))
+    diff = np.abs(cut.image - exact.image).ravel()
+    assert np.all(diff <= bound + 1e-12)
+    return terminated
+
+
+# Fresh process: render a 64x64 view of 240 random-box Gaussians (the toy
+# random init) once untaped and once taped to warm the heap, then count the
+# minor page faults of one more render of each, the previous output dropped.
+HEAP_PROBE = """
+import ctypes, json, resource
+import numpy as np
+from evsplat.camera import CameraModel
+from evsplat.dataset import init_point_cloud
+from evsplat.render import M_MMAP_THRESHOLD, render
+
+scene = init_point_cloud("random", n=240, bbox=[[-1.2] * 3, [1.2] * 3],
+                         rng=np.random.default_rng(0), background=0.4)
+cam = CameraModel.looking_at(np.array([0.0, -4.0, 1.2]), np.zeros(3),
+                             np.array([0.0, 0.0, 1.0]), 120.0, 120.0, 31.5, 31.5, 64, 64)
+result = {}
+for keep in (False, True):
+    out = render(scene, cam, keep_tape=keep)
+    if keep:
+        result["pairs"] = len(out.tape.pix)
+    out = None
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = render(scene, cam, keep_tape=keep)
+    result["taped" if keep else "untaped"] = (
+        resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    out = None
+mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+# the same value again, so only the return value is new
+result["mallopt"] = mallopt is not None and mallopt(M_MMAP_THRESHOLD, 32 << 20) != 0
+print(json.dumps(result))
+"""
+
+
+def test_repeat_renders_reuse_the_heap():
+    src = os.path.dirname(os.path.dirname(evsplat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    if not result["mallopt"]:
+        pytest.skip("the C library has no working mallopt")
+    assert result["pairs"] >= 250_000
+    # without the heap options these read about 9.9k and 11.7k
+    assert result["untaped"] < 200
+    assert result["taped"] < 200
 
 
 def test_render_module_is_not_shadowed():

@@ -297,3 +297,35 @@ class TestTrainLoop:
         assert len(calls) == 28
         evals = [r["psnr_eval"] for r in log if "psnr_eval" in r]
         assert evals[-1] == evals[-2]
+
+    @pytest.mark.parametrize("mode,taped_per_iter", [("fast", 2), ("hq", 1), ("hybrid", 3)])
+    def test_training_renders_at_the_training_cutoff(self, rng, monkeypatch, mode,
+                                                     taped_per_iter):
+        data = tiny_train_data(rng)
+        calls = []   # (inside _eval_psnr, keyword arguments) per render
+        in_eval = [False]
+        real, real_eval = training.render, training._eval_psnr
+
+        def recording(*a, **k):
+            calls.append((in_eval[0], k))
+            return real(*a, **k)
+
+        def evaluating(*a, **k):
+            in_eval[0] = True
+            try:
+                return real_eval(*a, **k)
+            finally:
+                in_eval[0] = False
+
+        monkeypatch.setattr(training, "render", recording)
+        monkeypatch.setattr(training, "_eval_psnr", evaluating)
+        cfg = replace(tiny_config(mode, iters=6), eval_interval=3)
+        train(data, cfg)
+        taped = [k for e, k in calls if not e]
+        # fast mode renders both window ends on every iteration, events or not
+        assert len(taped) == taped_per_iter * cfg.iterations
+        assert all(k == {"keep_tape": True, "alpha_min": training.TRAIN_ALPHA_MIN}
+                   for k in taped)
+        evals = [k for e, k in calls if e]
+        assert len(evals) == 2 * len(data.eval_frames)
+        assert all(k == {} for k in evals)
