@@ -22,12 +22,13 @@ import numpy as np
 
 from .camera import CameraModel
 from .render import ALPHA_MAX, RenderTape, _segment_first, render
-from .scene import GaussianScene
+from .scene import PARAMS, GaussianScene
 
 
 @dataclass
 class GradientBuffer:
-    """Per-Gaussian partials plus densification statistics."""
+    """Per-Gaussian partials, d_<name> for each name in scene.PARAMS, plus
+    densification statistics."""
 
     d_means: np.ndarray
     d_quats: np.ndarray
@@ -43,11 +44,8 @@ class GradientBuffer:
                    np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
 
     def add_(self, other: "GradientBuffer", weight: float = 1.0) -> "GradientBuffer":
-        self.d_means += weight * other.d_means
-        self.d_quats += weight * other.d_quats
-        self.d_log_scales += weight * other.d_log_scales
-        self.d_opacity_logits += weight * other.d_opacity_logits
-        self.d_intensities += weight * other.d_intensities
+        for name in PARAMS:
+            getattr(self, "d_" + name)[...] += weight * getattr(other, "d_" + name)
         self.pos_grad_norm += abs(weight) * other.pos_grad_norm
         self.touched += other.touched
         return self

@@ -74,9 +74,9 @@ class TurntableTrajectory:
 
     camera: CameraModel              # intrinsics / resolution template
     radius: float
+    angular_rate: float              # rad / s
+    span: float                      # seconds
     height: float = 0.0
-    angular_rate: float = 2.0 * np.pi / 10.0   # rad / s
-    span: float = 10.0                          # seconds
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     phase: float = 0.0

@@ -23,7 +23,7 @@ from .exposure import TransmittanceProfile, extract_ipe, map_temporal_to_intensi
 from .metrics import MetricReport, psnr, ssim
 from .render import render
 from .scene import load_scene, save_scene
-from .training import TrainConfig, TrainData, train
+from .training import MODE_LAMBDA, TrainConfig, TrainData, train
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class MapExposureConfig:
     events: str
     t_open_us: int = 0
     profile: TransmittanceProfile = field(default_factory=TransmittanceProfile)
-    contrast: float = 0.1
     clip_percentile: float | None = None
     output: str = "frame.pnm"
 
@@ -167,7 +166,7 @@ def parse_args(argv) -> Command:
             p.add_argument("--set", dest="overrides", action="append", default=[],
                            metavar="KEY=VALUE", help="dotted config override")
             if any(f.name == "seed" for f in fields(_CONFIGS[name][0])):
-                p.add_argument("--seed", type=int, default=0)
+                p.add_argument("--seed", type=int)
         return p
 
     add("make-synthetic", "generate a synthetic turntable dataset")
@@ -176,7 +175,7 @@ def parse_args(argv) -> Command:
 
     p_train = add("train", "optimize a scene from a dataset")
     p_train.add_argument("--data", required=True, help="dataset directory")
-    p_train.add_argument("--mode", required=True, choices=["fast", "hq", "hybrid"])
+    p_train.add_argument("--mode", required=True, choices=list(MODE_LAMBDA))
 
     p_render = add("render", "render one frame from a checkpoint")
     p_render.add_argument("--data", required=True)
@@ -217,7 +216,7 @@ def _build_config(parser, args):
         for item in args.overrides:
             key, value = _parse_override(item)
             _apply_override(config, key, value)
-        if hasattr(args, "seed"):
+        if getattr(args, "seed", None) is not None:
             config = {"seed": args.seed, **config}
         return _from_config(cls, config, **fixed)
     except ValueError as exc:
@@ -297,7 +296,7 @@ def _run_map_exposure(cmd: Command) -> int:
     cfg = cmd.config
     stream = dio.read_events(cfg.events)
     t_star = extract_ipe(stream, cfg.t_open_us)
-    frame = map_temporal_to_intensity(t_star, cfg.profile, cfg.contrast,
+    frame = map_temporal_to_intensity(t_star, cfg.profile,
                                       clip_percentile=cfg.clip_percentile)
     out_path = os.path.join(cmd.out, cfg.output)
     dio.write_pnm(out_path, frame.image)
@@ -305,13 +304,13 @@ def _run_map_exposure(cmd: Command) -> int:
     return 0
 
 
-def make_train_data(loaded: dio.LoadedDataset, init_scene, event_cfg=None) -> TrainData:
+def make_train_data(loaded: dio.LoadedDataset, init_scene, event_cfg) -> TrainData:
     """Assemble loop inputs from a dataset directory: training uses the given
     split (exposure frames), evaluation the novel split (ground-truth frames
     when present, mapped exposure frames otherwise)."""
     manifest = loaded.manifest
-    given = set(manifest.split.get("given", []))
-    novel = manifest.split.get("novel", [])
+    given = set(manifest.split["given"])
+    novel = manifest.split["novel"]
     frames = [f for f in loaded.exposure_frames if f.pose_id in given]
     gt = loaded.gt_frames
     if gt:
@@ -321,10 +320,10 @@ def make_train_data(loaded: dio.LoadedDataset, init_scene, event_cfg=None) -> Tr
                        if f.pose_id in set(novel)]
     traj = manifest.trajectory
     return TrainData(
-        trajectory=traj, span=float(traj.span), init_scene=init_scene,
+        trajectory=traj, init_scene=init_scene,
         events=loaded.events, exposure_frames=frames,
         pose_times=manifest.pose_times, eval_frames=eval_frames,
-        event_config=event_cfg or EventModelConfig(),
+        event_config=event_cfg,
         scene_extent=getattr(traj, "radius", None))
 
 
@@ -387,9 +386,8 @@ def _run_eval(cmd: Command) -> int:
     splits = ["given", "novel"] if cmd.split == "both" else [cmd.split]
     report_doc = {}
     for name in splits:
-        ids = manifest.split.get(name, [])
         rep = MetricReport()
-        for pose_id in ids:
+        for pose_id in manifest.split[name]:
             if pose_id not in gt:
                 continue
             cam = pose_at_time(manifest.trajectory, manifest.pose_times[pose_id])

@@ -273,8 +273,7 @@ def serialize_manifest(m: SceneManifest) -> str:
         "exposure_frames": m.exposure_frames,
         "gt_frames": m.gt_frames,
         "event_file": m.event_file,
-        "split": {"given": list(m.split.get("given", [])),
-                  "novel": list(m.split.get("novel", []))},
+        "split": {"given": list(m.split["given"]), "novel": list(m.split["novel"])},
         "background": m.background,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -283,6 +282,23 @@ def serialize_manifest(m: SceneManifest) -> str:
 def write_manifest(path: str, m: SceneManifest) -> None:
     with open(path, "w") as f:
         f.write(serialize_manifest(m) + "\n")
+
+
+# turntable keys a manifest may leave out, taking TurntableTrajectory's defaults
+_TURNTABLE_OPTIONAL = {"height": float, "axis": tuple, "center": tuple, "phase": float}
+
+
+def _json_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise FormatError(f"manifest {where} must be a list, not {value!r}")
+    return value
+
+
+def _check_pose_id(pose_id, where: str, n_poses: int) -> None:
+    if isinstance(pose_id, bool) or not isinstance(pose_id, int) \
+            or not 0 <= pose_id < n_poses:
+        raise FormatError(f"manifest {where}: pose id {pose_id!r} is not an int "
+                          f"in [0, {n_poses})")
 
 
 def parse_manifest(doc: dict) -> SceneManifest:
@@ -299,12 +315,9 @@ def parse_manifest(doc: dict) -> SceneManifest:
     if kind == "turntable":
         traj = TurntableTrajectory(
             camera=cam, radius=float(traj_doc["radius"]),
-            height=float(traj_doc.get("height", 0.0)),
-            angular_rate=float(traj_doc["angular_rate"]),
-            span=float(traj_doc["span"]),
-            axis=tuple(traj_doc.get("axis", (0.0, 0.0, 1.0))),
-            center=tuple(traj_doc.get("center", (0.0, 0.0, 0.0))),
-            phase=float(traj_doc.get("phase", 0.0)))
+            angular_rate=float(traj_doc["angular_rate"]), span=float(traj_doc["span"]),
+            **{k: conv(traj_doc[k]) for k, conv in _TURNTABLE_OPTIONAL.items()
+               if k in traj_doc})
     elif kind == "keyframes":
         times, rots, trans = [], [], []
         for kf in traj_doc["keyframes"]:
@@ -324,13 +337,27 @@ def parse_manifest(doc: dict) -> SceneManifest:
     pose_times = [float(t) for t in doc.get("pose_times", [])]
     if any(b <= a for a, b in zip(pose_times, pose_times[1:])):
         raise FormatError("pose_times must be strictly increasing")
+    n_poses = len(pose_times)
+    split = doc.get("split", {})
+    if not isinstance(split, dict):
+        raise FormatError(f"manifest split must be an object, not {split!r}")
+    split = {name: _json_list(split.get(name, []), f"split {name}") for name in ("given", "novel")}
+    for name, ids in split.items():
+        for i, pose_id in enumerate(ids):
+            _check_pose_id(pose_id, f"split {name}[{i}]", n_poses)
+    frames = {key: _json_list(doc.get(key, []), key) for key in ("exposure_frames", "gt_frames")}
+    for key, entries in frames.items():
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise FormatError(f"manifest {key}[{i}] must be an object, not {entry!r}")
+            _check_pose_id(entry.get("pose_id"), f"{key}[{i}]", n_poses)
     return SceneManifest(
         resolution=resolution, intrinsics=intrinsics, trajectory=traj,
         pose_times=pose_times,
-        exposure_frames=list(doc.get("exposure_frames", [])),
-        gt_frames=list(doc.get("gt_frames", [])),
+        exposure_frames=frames["exposure_frames"],
+        gt_frames=frames["gt_frames"],
         event_file=doc.get("event_file"),
-        split=doc.get("split", {"given": [], "novel": []}),
+        split=split,
         background=(None if doc.get("background") is None
                     else float(doc["background"])),
     )
@@ -424,11 +451,11 @@ class SyntheticSceneSpec:
     height: float = 1.2
     focal: float = 120.0
     background: float = 0.4   # off the 0.5 init intensity so fresh scenes are visible
-    exposure_t_end: float = 1.0
+    exposure_t_end: float = TransmittanceProfile.t_end
     levels: int = 100
     exposure_contrast: float = 0.02
-    motion_contrast: float = 0.1
-    gamma: float = 2.2
+    motion_contrast: float = EventModelConfig.contrast_threshold
+    gamma: float = EventModelConfig.gamma
     init_points: int = 240
     init_noise: float = 0.06
     seed: int = 0
@@ -492,7 +519,7 @@ def generate_synthetic_scene(spec: SyntheticSceneSpec,
         gt = render(gt_scene, pose_at_time(trajectory, t)).image
         gt_frames[k] = gt
         t_star = simulate_ipe(gt, profile, exp_cfg, levels=spec.levels)
-        frame = map_temporal_to_intensity(t_star, profile, spec.exposure_contrast)
+        frame = map_temporal_to_intensity(t_star, profile)
         exposure_frames.append(replace(frame, pose_id=k))
 
     split_given = [k for k in range(spec.stops) if k % 2 == 1]
@@ -570,8 +597,8 @@ def load_dataset(root: str, with_events: bool = True) -> LoadedDataset:
             mask = read_pnm(os.path.join(root, entry["mask"])) > 0.5
             if not mask.any():
                 raise FormatError(f"exposure mask {entry['mask']!r} selects no pixel")
-        frames.append(ExposureFrame(img, mask, pose_id=int(entry["pose_id"])))
-    gt = {int(e["pose_id"]): read_pnm(os.path.join(root, e["image"]))
+        frames.append(ExposureFrame(img, mask, pose_id=entry["pose_id"]))
+    gt = {e["pose_id"]: read_pnm(os.path.join(root, e["image"]))
           for e in manifest.gt_frames}
     cloud_path = os.path.join(root, "init_points.ply")
     init_cloud = read_ply_points(cloud_path) if os.path.exists(cloud_path) else None

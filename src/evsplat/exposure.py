@@ -121,23 +121,21 @@ def extract_ipe(stream: EventStream, t_open: int = 0) -> np.ndarray:
 def map_temporal_to_intensity(
     t_star: np.ndarray,
     profile: TransmittanceProfile,
-    contrast: float,
     clip_percentile: float | None = None,
 ) -> ExposureFrame:
     """Convert (H, W) IPE timestamps in seconds to a max-normalized intensity frame.
 
-    Valid pixels get C / h(t*), then every valid value is divided by the
-    maximum over valid pixels (scale-only normalization, zeros preserved).
+    Valid pixels get 1 / h(t*), then every valid value is divided by the
+    maximum over valid pixels (scale-only normalization, zeros preserved), so
+    the threshold C of C / h(t*) cancels and the mapping does not take it.
     Invalid pixels (no IPE, or t* <= 0) become 0 with the mask cleared.
     The optional percentile clip guards against simulated hot pixels.
     """
-    if contrast <= 0:
-        raise ValueError("contrast must be > 0")
     valid = np.isfinite(t_star) & (t_star > 0)
     if not valid.any():
         raise ValueError("no valid pixels to normalize")
     image = np.zeros_like(t_star, dtype=np.float64)
-    raw = contrast / cumulative_exposure(profile, t_star[valid])
+    raw = 1.0 / cumulative_exposure(profile, t_star[valid])
     if clip_percentile is not None:
         # "lower" picks an actual data value, so one extreme outlier cannot
         # drag the clip level toward itself by interpolation
@@ -181,7 +179,7 @@ def simulate_exposure_events(
     img: IntensityImage,
     profile: TransmittanceProfile,
     cfg: EventModelConfig,
-    levels: int = 100,
+    levels: int,
 ) -> EventStream:
     """Forward exposure-event simulation over the aperture ramp [0, t_end].
 
@@ -227,7 +225,7 @@ def simulate_ipe(
     img: IntensityImage,
     profile: TransmittanceProfile,
     cfg: EventModelConfig,
-    levels: int = 100,
+    levels: int,
 ) -> np.ndarray:
     """(H, W) IPE times in seconds of the exposure simulation; NaN where a
     pixel never fires.

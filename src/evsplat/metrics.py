@@ -14,8 +14,9 @@ SSIM_K2 = 0.03
 PSNR_CAP_DB = 99.0
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / MSE), capped at 99 dB for (near-)identical images."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """10 log10(1 / MSE) for images on [0, 1], capped at 99 dB for
+    (near-)identical images."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -23,7 +24,7 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse < 1e-10:
         return PSNR_CAP_DB
-    return min(10.0 * np.log10(peak * peak / mse), PSNR_CAP_DB)
+    return min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
 
 
 def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
@@ -33,8 +34,9 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return k2 / k2.sum()
 
 
-def ssim(a: np.ndarray, b: np.ndarray, dynamic_range: float = 1.0) -> float:
-    """Mean local SSIM, 11x11 Gaussian window (sigma 1.5), K1 = 0.01, K2 = 0.03.
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean local SSIM of images on [0, 1], 11x11 Gaussian window (sigma 1.5),
+    K1 = 0.01, K2 = 0.03.
 
     Windows are taken fully inside the image (valid positions only), so
     inputs must be at least 11x11.
@@ -56,8 +58,8 @@ def ssim(a: np.ndarray, b: np.ndarray, dynamic_range: float = 1.0) -> float:
     var_a = filt(a * a) - mu_a * mu_a
     var_b = filt(b * b) - mu_b * mu_b
     cov = filt(a * b) - mu_a * mu_b
-    c1 = (SSIM_K1 * dynamic_range) ** 2
-    c2 = (SSIM_K2 * dynamic_range) ** 2
+    c1 = SSIM_K1 ** 2
+    c2 = SSIM_K2 ** 2
     num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
     den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))

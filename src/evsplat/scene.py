@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+# the optimised parameter arrays, in checkpoint and constructor order
+PARAMS = ("means", "quats", "log_scales", "opacity_logits", "intensities")
 CHECKPOINT_MAGIC = b"EGS1"
 _FLOATS_PER_GAUSSIAN = 14   # mean 3, quat 4, log_scale 3, opacity_logit 1, intensity 1, pad 2
 
@@ -39,14 +41,11 @@ class GaussianScene:
     background: float = 0.0
 
     def __post_init__(self):
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        self.quats = np.atleast_2d(np.asarray(self.quats, dtype=np.float64))
-        self.log_scales = np.atleast_2d(np.asarray(self.log_scales, dtype=np.float64))
-        self.opacity_logits = np.atleast_1d(np.asarray(self.opacity_logits, dtype=np.float64))
-        self.intensities = np.atleast_1d(np.asarray(self.intensities, dtype=np.float64))
-        n = len(self.means)
-        if not (len(self.quats) == len(self.log_scales) == len(self.opacity_logits)
-                == len(self.intensities) == n):
+        for name in PARAMS:
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            setattr(self, name, np.atleast_1d(arr) if name in ("opacity_logits", "intensities")
+                    else np.atleast_2d(arr))
+        if len({len(p) for p in self.params().values()}) != 1:
             raise ValueError("parameter arrays must share one length")
         if not 0.0 <= self.background <= 1.0:
             raise ValueError("background must lie in [0, 1]")
@@ -62,10 +61,22 @@ class GaussianScene:
     def scales(self) -> np.ndarray:
         return np.exp(self.log_scales)
 
+    def params(self) -> dict[str, np.ndarray]:
+        """The parameter arrays by name, as views the optimiser updates in place."""
+        return {name: getattr(self, name) for name in PARAMS}
+
+    def take(self, idx) -> "GaussianScene":
+        """A new scene of the Gaussians at an index array or boolean mask."""
+        return GaussianScene(*(getattr(self, name)[idx] for name in PARAMS), self.background)
+
     def copy(self) -> "GaussianScene":
-        return GaussianScene(self.means.copy(), self.quats.copy(),
-                             self.log_scales.copy(), self.opacity_logits.copy(),
-                             self.intensities.copy(), self.background)
+        return self.take(np.arange(len(self)))
+
+    @staticmethod
+    def concat(scenes) -> "GaussianScene":
+        """The Gaussians of every scene in order, on the first scene's background."""
+        return GaussianScene(*(np.concatenate([getattr(s, name) for s in scenes])
+                               for name in PARAMS), scenes[0].background)
 
     @classmethod
     def from_gaussians(cls, gaussians, background: float = 0.0) -> "GaussianScene":

@@ -18,7 +18,7 @@ from .losses import combined_loss, exposure_loss, log_intensity_upstream, motion
 from .metrics import psnr
 from .quat import quat_normalize, quat_to_rot
 from .render import render
-from .scene import GaussianScene
+from .scene import PARAMS, GaussianScene
 
 MODE_LAMBDA = {"fast": 1.0, "hq": 0.0, "hybrid": 0.5}
 MODE_ITERATIONS = {"fast": 10_000, "hq": 30_000, "hybrid": 30_000}
@@ -41,6 +41,10 @@ GROUP_LR_MULTIPLIER = {
 MEANS_LR_FINAL_FRACTION = 0.01   # exponential decay target at the last iteration
 PERCENT_DENSE = 0.01             # split-vs-clone size threshold vs scene extent
 SPLIT_SCALE_SHRINK = 1.6
+# Adam's moment decay rates and the guard on its denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -130,43 +134,23 @@ class AdamState:
 
     @classmethod
     def for_scene(cls, scene: GaussianScene) -> "AdamState":
-        shapes = _param_views(scene)
-        return cls({k: np.zeros_like(p) for k, p in shapes.items()},
-                   {k: np.zeros_like(p) for k, p in shapes.items()})
-
-
-def _param_views(scene: GaussianScene) -> dict[str, np.ndarray]:
-    return {
-        "means": scene.means,
-        "quats": scene.quats,
-        "log_scales": scene.log_scales,
-        "opacity_logits": scene.opacity_logits,
-        "intensities": scene.intensities,
-    }
-
-
-def _grad_views(buf: GradientBuffer) -> dict[str, np.ndarray]:
-    return {
-        "means": buf.d_means,
-        "quats": buf.d_quats,
-        "log_scales": buf.d_log_scales,
-        "opacity_logits": buf.d_opacity_logits,
-        "intensities": buf.d_intensities,
-    }
+        params = scene.params()
+        return cls({k: np.zeros_like(p) for k, p in params.items()},
+                   {k: np.zeros_like(p) for k, p in params.items()})
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lrs: dict[str, float],
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-15) -> None:
-    """In-place adaptive update with bias correction.
+              state: AdamState, lrs: dict[str, float]) -> None:
+    """In-place adaptive update with bias correction (ADAM_BETA1, ADAM_BETA2,
+    ADAM_EPS).
 
     Entries with non-finite gradients are skipped entirely (moments and
     parameter untouched) and counted on the state.
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         finite = np.isfinite(g)
@@ -175,17 +159,17 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             state.skipped_nonfinite += n_bad
         gs = np.where(finite, g, 0.0)
         m, v = state.m[name], state.v[name]
-        m_new = beta1 * m + (1.0 - beta1) * gs
-        v_new = beta2 * v + (1.0 - beta2) * gs * gs
+        m_new = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * gs
+        v_new = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * gs * gs
         np.copyto(m, np.where(finite, m_new, m))
         np.copyto(v, np.where(finite, v_new, v))
-        update = lrs[name] * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        update = lrs[name] * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p -= np.where(finite, update, 0.0)
 
 
 def optimizer_step(scene: GaussianScene, buf: GradientBuffer, state: AdamState,
                    lrs: dict[str, float]) -> None:
-    adam_step(_param_views(scene), _grad_views(buf), state, lrs)
+    adam_step(scene.params(), {k: getattr(buf, "d_" + k) for k in PARAMS}, state, lrs)
     scene.quats = quat_normalize(scene.quats)
 
 
@@ -230,33 +214,15 @@ def densify_and_prune(scene: GaussianScene, state: AdamState,
         dropped_splits = np.setdiff1d(np.flatnonzero(split_mask), split_idx)
         survivors[dropped_splits] = True
 
-    parts_means = [scene.means[survivors]]
-    parts_quats = [scene.quats[survivors]]
-    parts_ls = [scene.log_scales[survivors]]
-    parts_op = [scene.opacity_logits[survivors]]
-    parts_in = [scene.intensities[survivors]]
-
-    def extend_from(idx, means, log_scales):
-        parts_means.append(means)
-        parts_quats.append(scene.quats[idx])
-        parts_ls.append(log_scales)
-        parts_op.append(scene.opacity_logits[idx])
-        parts_in.append(scene.intensities[idx])
-
-    if len(clone_idx):
-        extend_from(clone_idx, scene.means[clone_idx], scene.log_scales[clone_idx])
+    parts = [scene.take(survivors), scene.take(clone_idx)]
     if len(split_idx):
-        rep = np.repeat(split_idx, 2)
-        noise = rng.standard_normal((len(rep), 3))
-        R = quat_to_rot(quat_normalize(scene.quats[rep]))
-        offsets = np.einsum("nij,nj->ni", R, np.exp(scene.log_scales[rep]) * noise)
-        extend_from(rep, scene.means[rep] + offsets,
-                    scene.log_scales[rep] - np.log(SPLIT_SCALE_SHRINK))
-
-    new_scene = GaussianScene(
-        np.concatenate(parts_means), np.concatenate(parts_quats),
-        np.concatenate(parts_ls), np.concatenate(parts_op),
-        np.concatenate(parts_in), scene.background)
+        split = scene.take(np.repeat(split_idx, 2))
+        noise = rng.standard_normal((len(split), 3))
+        R = quat_to_rot(quat_normalize(split.quats))
+        split.means += np.einsum("nij,nj->ni", R, split.scales * noise)
+        split.log_scales -= np.log(SPLIT_SCALE_SHRINK)
+        parts.append(split)
+    new_scene = GaussianScene.concat(parts)
 
     n_new = len(new_scene) - int(survivors.sum())
     new_state = AdamState(
@@ -278,7 +244,6 @@ class TrainData:
     images for periodic held-out PSNR."""
 
     trajectory: Trajectory
-    span: float                                   # seconds
     init_scene: GaussianScene
     events: EventStream | None = None
     exposure_frames: list[ExposureFrame] | None = None
@@ -318,7 +283,7 @@ def train(data: TrainData, cfg: TrainConfig):
     else:
         center = scene.means.mean(axis=0)
         extent = max(float(np.linalg.norm(scene.means - center, axis=1).max()), 1e-6)
-    span_us = data.span * 1e6
+    span_us = data.trajectory.span * 1e6
     dens = cfg.densify
     pos_accum = np.zeros(len(scene))
     touch_accum = np.zeros(len(scene))

@@ -46,7 +46,7 @@ def test_criterion_1_exposure_round_trip():
     errs = {}
     for levels in (100, 10_000):
         stream = simulate_exposure_events(img, LINEAR, cfg, levels=levels)
-        frame = map_temporal_to_intensity(extract_ipe(stream), LINEAR, 0.01)
+        frame = map_temporal_to_intensity(extract_ipe(stream), LINEAR)
         errs[levels] = (np.abs(frame.image - ref) / ref)[sel].max()
     elapsed = time.perf_counter() - t0
     ok = errs[100] <= 0.02 and errs[10_000] <= 0.001 and elapsed < 5.0
@@ -70,8 +70,7 @@ def test_criterion_2_dynamic_range():
     # per-pixel inversion error near 2e-4 (quadratic in 1/levels)
     def mapped(image):
         stream = simulate_exposure_events(image, LINEAR, cfg, levels=400)
-        return map_temporal_to_intensity(extract_ipe(stream), LINEAR,
-                                         cfg.contrast_threshold).image
+        return map_temporal_to_intensity(extract_ipe(stream), LINEAR).image
 
     base = mapped(card)
     mask = np.ones_like(card, dtype=bool)
@@ -199,7 +198,7 @@ def _train_data(ds, init_mode, seed=0):
     given = set(ds.split_given)
     frames = [f for f in ds.exposure_frames if f.pose_id in given]
     return TrainData(
-        trajectory=ds.trajectory, span=ds.spec.span, init_scene=init,
+        trajectory=ds.trajectory, init_scene=init,
         events=ds.events, exposure_frames=frames, pose_times=ds.pose_times,
         eval_frames=[(k, ds.gt_frames[k]) for k in ds.split_novel],
         event_config=EventModelConfig(contrast_threshold=ds.spec.motion_contrast,

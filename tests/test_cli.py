@@ -88,6 +88,9 @@ class TestParseArgs:
     def test_seed_sets_config_seed(self):
         assert parse(["make-synthetic", "--out", "o", "--seed", "3"]).config.seed == 3
         assert parse(TRAIN_FAST + ["--out", "o", "--seed", "4"]).config.seed == 4
+        # without --seed the config file's seed, or the dataclass default, holds
+        assert parse(TRAIN_FAST + ["--out", "o", "--set", "seed=5"]).config.seed == 5
+        assert parse(["make-synthetic", "--out", "o"]).config.seed == 0
 
     def test_unreadable_config_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -182,6 +185,26 @@ class TestPipeline:
         assert code == 1
         assert os.listdir(out_dir) == []
         assert "mask_001.pnm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["train", "eval"])
+    def test_unknown_pose_id_exits_one(self, sub, tiny_dataset, tmp_path, capsys):
+        # a novel view outside the pose table, with a ground-truth frame,
+        # fails at load instead of at the first evaluation
+        import shutil
+        broken = str(tmp_path / "broken")
+        shutil.copytree(tiny_dataset, broken)
+        path = os.path.join(broken, "manifest.json")
+        manifest = json.load(open(path))
+        manifest["split"]["novel"].append(999)
+        manifest["gt_frames"].append({"pose_id": 999, "image": "gt/stop_000.pnm"})
+        json.dump(manifest, open(path, "w"))
+        out_dir = str(tmp_path / "out")
+        argv = {"train": ["--mode", "hq", "--set", "iterations=20", "--set", "warmup_iters=1",
+                          "--set", "eval_interval=10"],
+                "eval": ["--checkpoint", os.path.join(broken, "gt_scene.egs")]}[sub]
+        assert run(parse([sub, "--data", broken, "--out", out_dir] + argv)) == 1
+        assert os.listdir(out_dir) == []
+        assert "split novel[3]: pose id 999" in capsys.readouterr().err
 
     def test_render_reads_only_the_manifest(self, tiny_dataset, tmp_path):
         import shutil
@@ -297,8 +320,7 @@ class TestPipeline:
         write_events(exp_events, s)
         map_out = str(tmp_path / "map")
         code = run(parse(["map-exposure", "--out", map_out,
-                          "--set", f"events={exp_events}",
-                          "--set", "contrast=0.02"]))
+                          "--set", f"events={exp_events}"]))
         assert code == 0
         img = read_pnm(os.path.join(map_out, "frame.pnm"))
         assert img.shape == (1, 2)

@@ -217,6 +217,36 @@ class TestManifest:
         with pytest.raises(FormatError, match="reflection"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d["split"]["novel"].append(999), "split novel[2]: pose id 999"),
+        (lambda d: d["split"]["given"].__setitem__(0, 1.0), "split given[0]: pose id 1.0"),
+        (lambda d: d["split"]["given"].__setitem__(1, True), "split given[1]: pose id True"),
+        (lambda d: d["exposure_frames"][1].__setitem__("pose_id", -1),
+         "exposure_frames[1]: pose id -1"),
+        (lambda d: d["gt_frames"][3].__setitem__("pose_id", "3"), "gt_frames[3]: pose id '3'"),
+        (lambda d: d["gt_frames"][0].pop("pose_id"), "gt_frames[0]: pose id None"),
+        (lambda d: d.__setitem__("exposure_frames", [2]), "exposure_frames[0] must be an object"),
+        (lambda d: d.__setitem__("split", [0, 1]), "split must be an object"),
+        (lambda d: d["split"].__setitem__("novel", 2), "split novel must be a list"),
+    ])
+    def test_bad_pose_reference_rejected(self, tmp_path, edit, named):
+        import json
+        from evsplat.dataset import parse_manifest
+        doc = json.load(open(self.turntable_manifest(tmp_path)))
+        edit(doc)
+        with pytest.raises(FormatError) as exc:
+            parse_manifest(doc)
+        assert named in str(exc.value)
+
+    def test_missing_split_lists_read_empty(self, tmp_path):
+        import json
+        from evsplat.dataset import parse_manifest
+        doc = json.load(open(self.turntable_manifest(tmp_path)))
+        del doc["split"]["novel"]
+        assert parse_manifest(doc).split == {"given": [1, 3], "novel": []}
+        del doc["split"]
+        assert parse_manifest(doc).split == {"given": [], "novel": []}
+
     def test_missing_key_rejected(self, tmp_path):
         import json
         path = str(tmp_path / "missing.json")

@@ -86,29 +86,29 @@ class TestExtractIpe:
 
 class TestTemporalToIntensity:
     def test_two_pixel_example(self):
-        # linear profile, t_end 1, C 0.1, t* {1.0, 0.5} -> I {0.2, 0.8} -> {0.25, 1.0}
-        fr = map_temporal_to_intensity(np.array([[1.0, 0.5]]), LINEAR, 0.1)
+        # linear profile, t_end 1, t* {1.0, 0.5} -> 1 / h {2, 8} -> {0.25, 1.0}
+        fr = map_temporal_to_intensity(np.array([[1.0, 0.5]]), LINEAR)
         np.testing.assert_allclose(fr.image, [[0.25, 1.0]])
 
     def test_single_valid_pixel_is_one(self):
-        fr = map_temporal_to_intensity(np.array([[0.7, np.nan]]), LINEAR, 0.1)
+        fr = map_temporal_to_intensity(np.array([[0.7, np.nan]]), LINEAR)
         assert fr.image[0, 0] == 1.0
         assert fr.image[0, 1] == 0.0
         assert not fr.mask[0, 1]
 
     def test_uniform_t_star_uniform_frame(self):
-        fr = map_temporal_to_intensity(np.full((3, 3), 0.4), LINEAR, 0.1)
+        fr = map_temporal_to_intensity(np.full((3, 3), 0.4), LINEAR)
         np.testing.assert_allclose(fr.image, 1.0)
 
     def test_all_invalid_rejected(self):
         with pytest.raises(ValueError):
-            map_temporal_to_intensity(np.full((2, 2), np.nan), LINEAR, 0.1)
+            map_temporal_to_intensity(np.full((2, 2), np.nan), LINEAR)
 
     def test_percentile_clip_tames_hot_pixel(self):
         t_star = np.full((10, 10), 0.5)
         t_star[0, 0] = 1e-4              # simulated hot pixel fires absurdly early
-        plain = map_temporal_to_intensity(t_star, LINEAR, 0.1)
-        clipped = map_temporal_to_intensity(t_star, LINEAR, 0.1, clip_percentile=99.0)
+        plain = map_temporal_to_intensity(t_star, LINEAR)
+        clipped = map_temporal_to_intensity(t_star, LINEAR, clip_percentile=99.0)
         assert plain.image[5, 5] < 1e-6          # hot pixel crushed the rest
         assert clipped.image[5, 5] == pytest.approx(1.0)
 
@@ -128,7 +128,7 @@ class TestSimulateExposure:
         assert extract_ipe(s)[0, 0] == pytest.approx(0.5, rel=1e-3)
 
     def test_zero_intensity_silent(self):
-        s = simulate_exposure_events(np.zeros((3, 3)), LINEAR, self.CFG)
+        s = simulate_exposure_events(np.zeros((3, 3)), LINEAR, self.CFG, levels=100)
         assert len(s) == 0
 
     def test_all_positive_and_sorted(self, rng):
@@ -149,7 +149,7 @@ class TestSimulateExposure:
         img = rng.uniform(0.05, 1.0, size=(16, 16))
         cfg = EventModelConfig(contrast_threshold=0.01)
         s = simulate_exposure_events(img, LINEAR, cfg, levels=100)
-        fr = map_temporal_to_intensity(extract_ipe(s), LINEAR, cfg.contrast_threshold)
+        fr = map_temporal_to_intensity(extract_ipe(s), LINEAR)
         ref = img / img.max()
         rel = np.abs(fr.image - ref) / ref
         assert rel.max() < 0.02
@@ -160,8 +160,7 @@ class TestSimulateExposure:
         frames = []
         for k in (1.0, 4.0):
             s = simulate_exposure_events(k * img, LINEAR, cfg, levels=200)
-            frames.append(map_temporal_to_intensity(extract_ipe(s), LINEAR,
-                                                    cfg.contrast_threshold).image)
+            frames.append(map_temporal_to_intensity(extract_ipe(s), LINEAR).image)
         np.testing.assert_allclose(frames[0], frames[1], atol=2e-3)
 
 
@@ -212,7 +211,7 @@ class TestSimulateIpe:
     def test_rejects_what_the_simulator_rejects(self):
         cfg = EventModelConfig()
         with pytest.raises(ValueError):
-            simulate_ipe(np.array([[-0.1]]), LINEAR, cfg)
+            simulate_ipe(np.array([[-0.1]]), LINEAR, cfg, levels=100)
         with pytest.raises(ValueError):
             simulate_ipe(np.ones((2, 2)), LINEAR, cfg, levels=1)
 

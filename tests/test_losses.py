@@ -148,7 +148,7 @@ def fast_branch_delta_log(monkeypatch, scene, cam0, cam1):
     cfg = TrainConfig(mode="fast", iterations=1, warmup_iters=0,
                       densify=DensifyConfig(start_iter=10**9),
                       sampler=SamplerConfig(n_windows=1, l_max=1e12), log_interval=0)
-    training.train(TrainData(trajectory=traj, span=1.0, init_scene=scene, events=events,
+    training.train(TrainData(trajectory=traj, init_scene=scene, events=events,
                              scene_extent=1.0), cfg)
     assert len(preds) == 1
     return preds[0]

@@ -208,6 +208,22 @@ class TestRenderForward:
                 arr[k] = orig
                 assert grad[k] == pytest.approx((lp - lm) / (2 * h), rel=1e-5, abs=1e-9)
 
+    def test_matches_reference_past_16_bit_pixel_ids(self):
+        # 257x256 pixels take the 32-bit sort key; pixel k of the top row and
+        # pixel 65536 + k of the bottom row share a 16-bit key.  Two Gaussians
+        # at the top and two at the bottom, alternating in depth, leave each
+        # pixel's pairs split apart in the sort if those keys collided.
+        w, h, f, z = 257, 256, 200.0, 3.0
+        gs = [Gaussian3D(np.array([0.0, (v - 127.5) * (z + dz) / f, z + dz]),
+                         np.array([1.0, 0, 0, 0]), np.log([0.12] * 3), 1.0, c)
+              for v, dz, c in ((5.0, 0.0, 0.9), (250.0, 0.2, 0.3),
+                               (8.0, 0.4, 0.6), (247.0, 0.6, 0.7))]
+        scene = GaussianScene.from_gaussians(gs, background=0.2)
+        cam = CameraModel(fx=f, fy=f, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
+        out = render(scene, cam, keep_tape=True)
+        assert out.tape.pix.min() < 65536 <= out.tape.pix.max()
+        np.testing.assert_allclose(out.image, reference_render(scene, cam), atol=1e-12)
+
     @PROPERTY
     @given(scenes_and_cameras(max_n=30))
     def test_compositing_identity(self, view):

@@ -153,6 +153,21 @@ class TestSceneContainer:
                               rng.uniform(size=8))
         assert np.all((scene.opacities > 0) & (scene.opacities < 1))
 
+    def test_take_concat_copy(self, rng):
+        scene = GaussianScene(rng.normal(size=(5, 3)), rng.normal(size=(5, 4)),
+                              rng.normal(size=(5, 3)), rng.normal(size=5),
+                              rng.uniform(size=5), background=0.3)
+        picked = scene.take(np.array([4, 1, 1]))
+        halves = GaussianScene.concat([scene.take(np.arange(5) < 2),
+                                       scene.take(np.arange(5) >= 2)])
+        copy = scene.copy()
+        copy.means[0] = 9.0
+        for name, arr in scene.params().items():
+            np.testing.assert_array_equal(getattr(picked, name), arr[[4, 1, 1]])
+            np.testing.assert_array_equal(getattr(halves, name), arr)
+        assert picked.background == halves.background == 0.3
+        assert scene.means[0, 0] != 9.0
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             GaussianScene(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros((2, 3)),

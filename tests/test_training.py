@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,9 +9,10 @@ from evsplat import training
 from evsplat.backward import GradientBuffer
 from evsplat.dataset import init_point_cloud
 from evsplat.events import EventModelConfig, EventStream
-from evsplat.training import (AdamState, DensifyConfig, SamplerConfig, TrainConfig,
-                              TrainData, adam_step, densify_and_prune, learning_rates,
-                              sample_window, train, optimizer_step, _param_views)
+from evsplat.scene import PARAMS
+from evsplat.training import (GROUP_LR_MULTIPLIER, AdamState, DensifyConfig, SamplerConfig,
+                              TrainConfig, TrainData, adam_step, densify_and_prune,
+                              learning_rates, sample_window, train, optimizer_step)
 
 
 class TestSampleWindow:
@@ -66,6 +67,15 @@ class TestLearningRates:
         assert b["quats"] == a["quats"]
 
 
+def test_parameter_list_has_one_home(rng):
+    # the optimiser's groups and moments and the gradient buffer all walk
+    # scene.PARAMS, in its order
+    assert tuple(GROUP_LR_MULTIPLIER) == PARAMS
+    assert tuple(AdamState.for_scene(random_scene(rng, 3)).m) == PARAMS
+    assert tuple(f.name[2:] for f in fields(GradientBuffer)
+                 if f.name.startswith("d_")) == PARAMS
+
+
 class TestAdam:
     def _setup(self, rng, n=6):
         scene = random_scene(rng, n)
@@ -74,17 +84,17 @@ class TestAdam:
 
     def test_zero_gradients_no_change(self, rng):
         scene, state = self._setup(rng)
-        before = {k: v.copy() for k, v in _param_views(scene).items()}
+        before = {k: v.copy() for k, v in scene.params().items()}
         buf = GradientBuffer.zeros(len(scene))
         optimizer_step(scene, buf, state, {k: 0.01 for k in before})
-        for k, v in _param_views(scene).items():
+        for k, v in scene.params().items():
             if k == "quats":
                 continue   # re-normalized after the step
             np.testing.assert_array_equal(v, before[k])
 
     def test_descends_against_gradient(self, rng):
         scene, state = self._setup(rng)
-        params = _param_views(scene)
+        params = scene.params()
         grads = {k: np.ones_like(v) for k, v in params.items()}
         before = {k: v.copy() for k, v in params.items()}
         adam_step(params, grads, state, {k: 0.1 for k in params})
@@ -98,7 +108,7 @@ class TestAdam:
             state = AdamState.for_scene(scene)
             gen = np.random.default_rng(11)
             for _ in range(10):
-                params = _param_views(scene)
+                params = scene.params()
                 grads = {k: gen.normal(size=v.shape) for k, v in params.items()}
                 adam_step(params, grads, state, {k: 0.01 for k in params})
             results.append(scene.means.copy())
@@ -106,7 +116,7 @@ class TestAdam:
 
     def test_nonfinite_entries_skipped_and_counted(self, rng):
         scene, state = self._setup(rng, n=3)
-        params = _param_views(scene)
+        params = scene.params()
         grads = {k: np.zeros_like(v) for k, v in params.items()}
         grads["means"][0, 0] = np.nan
         grads["means"][1, 2] = np.inf
@@ -119,7 +129,7 @@ class TestAdam:
         scene, state = self._setup(rng)
         buf = GradientBuffer.zeros(len(scene))
         buf.d_quats[:] = 0.3
-        optimizer_step(scene, buf, state, {k: 0.1 for k in _param_views(scene)})
+        optimizer_step(scene, buf, state, {k: 0.1 for k in scene.params()})
         np.testing.assert_allclose(np.linalg.norm(scene.quats, axis=1), 1.0, atol=1e-12)
 
 
@@ -210,7 +220,7 @@ def tiny_train_data(rng, with_events=True, with_frames=True, empty_events=False)
         img = np.clip(rng.uniform(0.2, 0.6, size=(16, 16)), 0, 1)
         frames.append(ExposureFrame(img, np.ones_like(img, dtype=bool), pose_id=k))
     return TrainData(
-        trajectory=traj, span=4.0, init_scene=init,
+        trajectory=traj, init_scene=init,
         events=events if with_events else None,
         exposure_frames=frames if with_frames else None,
         pose_times=pose_times,
