@@ -198,8 +198,9 @@ def parse_args(argv) -> Command:
 
 
 def _build_config(parser, args):
-    """The subcommand's config dataclass from --config, --set and --seed;
-    exits 2 through the parser on any config error."""
+    """The subcommand's config dataclass from --config, then --set, then
+    --seed, each winning over those before it; exits 2 through the parser on
+    any config error."""
     config = {}
     if args.config:
         try:
@@ -217,7 +218,7 @@ def _build_config(parser, args):
             key, value = _parse_override(item)
             _apply_override(config, key, value)
         if getattr(args, "seed", None) is not None:
-            config = {"seed": args.seed, **config}
+            config["seed"] = args.seed
         return _from_config(cls, config, **fixed)
     except ValueError as exc:
         parser.error(str(exc))

@@ -389,8 +389,9 @@ def init_point_cloud(mode: str, n: int | None = None, bbox=None,
             raise ValueError("random initialization needs n >= 1")
         if bbox is None:
             raise ValueError("random initialization needs a bbox")
+        if rng is None:
+            raise ValueError("random initialization needs an rng")
         lo, hi = np.asarray(bbox[0], dtype=np.float64), np.asarray(bbox[1], dtype=np.float64)
-        rng = rng or np.random.default_rng(0)
         points = rng.uniform(lo, hi, size=(n, 3))
     elif mode == "ply":
         if cloud is None or len(cloud.points) == 0:

@@ -18,15 +18,21 @@ away from footprint edges, where a pair enters or leaves the footprint with
 a jump of about alpha_min.
 Pairs are built only on the ellipse's rows and, per row, on the conic's
 x-interval, both widened by a small margin; the exact q <= q_cut test then
-decides which pairs are composited.
+decides which pairs are composited.  Each pair's q comes from terms of its
+row: completing the square in x, q = (c/det) (x - centre)^2 + dy^2 / c with
+Sigma = [[a, b], [b, c]] and the row's centre mx + (b/c) dy.
 
 Implementation: flat arrays over (gaussian, pixel-in-footprint) pairs,
-processed in depth-ordered chunks.  Within a chunk, elements are stably
-sorted by pixel id (radix for 16-bit ids), making the per-pixel compositing
-order the global depth order; transmittances are exclusive segmented
-cumulative sums of log(1 - alpha) scaled by the transmittance entering the
-chunk.  Once some pixel has terminated, each later chunk drops the pairs
-whose pixel has terminated before any transcendental work.
+processed in depth-ordered chunks of consecutive Gaussians whose estimated
+pairs, each footprint's ellipse area pi q_cut sqrt(det), sum to at most
+CHUNK_PAIRS, so that a chunk's per-pair arrays stay near the size of a
+core's L2 cache.  Within a chunk, elements are stably sorted by pixel id
+(radix for 16-bit ids), making the per-pixel compositing order the global
+depth order; transmittances are exclusive segmented cumulative sums of
+log(1 - alpha) scaled by the transmittance entering the chunk.  Once some
+pixel has terminated, each later chunk drops the pairs whose pixel has
+terminated, with those outside the cutoff, before any transcendental work.
+Only a taped render keeps each pair's offset from its Gaussian's mean.
 
 Importing the module sets two process-wide options of the C library's heap
 where it has mallopt (glibc): blocks up to 32 MiB come from the heap rather
@@ -53,7 +59,8 @@ ALPHA_MAX = 0.999
 TERMINATE_TRANSMITTANCE = 1e-4
 COV2D_DILATION = 0.3
 NEAR_PLANE = 0.01
-CHUNK_SIZE = 512
+# estimated (gaussian, pixel) pairs per compositing chunk; see _chunk_bounds
+CHUNK_PAIRS = 1 << 16
 # pixels added to each side of a footprint's rows and row intervals, plus
 # 1e-4 of its radius because the rounding of the interval solve grows with
 # it; far above that rounding, so every pixel with q <= q_cut is built
@@ -193,13 +200,15 @@ def _project(scene: GaussianScene, cam: CameraModel,
 
 
 def _chunk_footprints(proj: Projection, lo: int, hi: int, width: int):
-    """Flat (gaussian, pixel) arrays for Gaussians [lo, hi): Gaussian-major,
-    row-major, x ascending.
+    """Flat (gaussian, pixel, q) arrays for Gaussians [lo, hi): Gaussian-major,
+    row-major, x ascending, with q each pair's Mahalanobis distance.
 
     Each Gaussian covers the rows of its cutoff ellipse q <= q_cut and, on
     each row, the conic's x-interval, both widened by FOOTPRINT_MARGIN and
     clipped to its rect.  With Sigma = [[a, b], [b, c]], the ellipse spans
-    dy^2 <= q_cut c, and row dy spans dx = (b/c) dy +- sqrt(det (q_cut c - dy^2)) / c.
+    dy^2 <= q_cut c, and row dy is centred on x = mx + (b/c) dy, from which
+    q = (c/det) (x - centre)^2 + dy^2 / c, so row dy spans
+    centre +- sqrt(det (q_cut c - dy^2)) / c.
     """
     ids = np.arange(lo, hi, dtype=np.int32)
     rect = proj.rect[lo:hi]
@@ -209,11 +218,12 @@ def _chunk_footprints(proj: Projection, lo: int, hi: int, width: int):
     b = proj.cov2d[lo:hi, 0, 1]
     c = proj.cov2d[lo:hi, 1, 1]
     q_cut = proj.q_cut[lo:hi]
+    det = a * c - b * b
     ry2 = q_cut * c
     ry = np.sqrt(ry2)
     pad = FOOTPRINT_MARGIN * (1.0 + 1e-4 * np.sqrt(q_cut * (a + c)))
     slope = b / c
-    shrink = np.sqrt(a * c - b * b) / c
+    shrink = np.sqrt(det) / c
 
     y0 = np.maximum(np.ceil(my - ry - pad), rect[:, 2]).astype(np.int32)
     y1 = np.minimum(np.floor(my + ry + pad), rect[:, 3]).astype(np.int32)
@@ -232,11 +242,13 @@ def _chunk_footprints(proj: Projection, lo: int, hi: int, width: int):
     x1 = np.minimum(np.floor(centre + half), per_row(rect[:, 1])).astype(np.int32)
     counts = np.maximum(x1 - x0 + 1, 0)
     seg_start = np.cumsum(counts, dtype=np.int32) - counts
+    n = int(counts.sum())
+    px = np.repeat(x0 - seg_start, counts) + np.arange(n, dtype=np.int32)
     gi = np.repeat(per_row(ids), counts)
-    py = np.repeat(y, counts)
-    px = np.repeat(x0 - seg_start, counts) + np.arange(len(gi), dtype=np.int32)
-    pix = py * np.int32(width) + px
-    return gi, px, py, pix
+    pix = np.repeat(y * np.int32(width), counts) + px
+    t = px - np.repeat(centre, counts)
+    q = np.repeat(per_row(c / det), counts) * (t * t) + np.repeat(dy * dy / per_row(c), counts)
+    return gi, pix, q
 
 
 def _stable_sort_by_pixel(pix: np.ndarray, pcount: int) -> np.ndarray:
@@ -262,6 +274,21 @@ def _segment_exclusive_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarr
     return excl - np.repeat(excl[starts], reps)
 
 
+def _chunk_bounds(proj: Projection):
+    """Depth-ordered [lo, hi) runs of Gaussians whose estimated pairs, each
+    footprint's ellipse area pi q_cut sqrt(det Sigma), sum to at most
+    CHUNK_PAIRS; a run always holds at least one Gaussian."""
+    cov = proj.cov2d
+    det = cov[:, 0, 0] * cov[:, 1, 1] - cov[:, 0, 1] * cov[:, 0, 1]
+    ends = np.cumsum(np.pi * proj.q_cut * np.sqrt(det))
+    lo, m = 0, len(ends)
+    while lo < m:
+        base = ends[lo - 1] if lo else 0.0
+        hi = max(int(np.searchsorted(ends, base + CHUNK_PAIRS, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 def _composite(proj: Projection, colors: np.ndarray, background_value: float,
                width: int, height: int, keep_tape: bool,
                extra_weights: np.ndarray | None = None):
@@ -270,48 +297,29 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
     Returns (image, t_final_flat, extra_image, tape_parts).
     """
     pcount = width * height
-    m = len(proj.orig_idx)
     t_img = np.ones(pcount)
     image_acc = np.zeros(pcount)
     extra_acc = np.zeros(pcount) if extra_weights is not None else None
-
-    # contiguous per-gaussian views keep the flat gathers cache-friendly
-    mx = np.ascontiguousarray(proj.mean2d[:, 0])
-    my = np.ascontiguousarray(proj.mean2d[:, 1])
-    ia_g = np.ascontiguousarray(proj.cov2d_inv[:, 0, 0])
-    ib_g = np.ascontiguousarray(proj.cov2d_inv[:, 0, 1])
-    ic_g = np.ascontiguousarray(proj.cov2d_inv[:, 1, 1])
 
     parts = [] if keep_tape else None
     offsets = [0]
     total = 0
     any_dead = False
 
-    for lo in range(0, m, CHUNK_SIZE):
-        hi = min(lo + CHUNK_SIZE, m)
-        gi, px, py, pix = _chunk_footprints(proj, lo, hi, width)
-        if any_dead:
-            alive = t_img[pix] >= TERMINATE_TRANSMITTANCE
-            if not alive.all():
-                gi, pix = gi[alive], pix[alive]
-                px, py = px[alive], py[alive]
-        if len(gi) == 0:
-            continue
-        dx = px - mx[gi]
-        dy = py - my[gi]
-        q = ia_g[gi] * dx * dx + 2.0 * ib_g[gi] * dx * dy + ic_g[gi] * dy * dy
+    for lo, hi in _chunk_bounds(proj):
+        gi, pix, q = _chunk_footprints(proj, lo, hi, width)
         # q <= q_cut is alpha >= alpha_min, tested before the exp
-        inside = q <= proj.q_cut[gi]
-        if not inside.all():
-            gi, pix, dx, dy, q = (gi[inside], pix[inside], dx[inside],
-                                  dy[inside], q[inside])
+        keep = q <= proj.q_cut[gi]
+        if any_dead:
+            keep &= t_img[pix] >= TERMINATE_TRANSMITTANCE
+        if not keep.all():
+            gi, pix, q = gi[keep], pix[keep], q[keep]
         if len(gi) == 0:
             continue
         alpha = proj.alpha_base[gi] * np.exp(-0.5 * q)
 
         perm = _stable_sort_by_pixel(pix, pcount)
-        pix, gi = pix[perm], gi[perm]
-        dx, dy, alpha = dx[perm], dy[perm], alpha[perm]
+        pix, gi, alpha = pix[perm], gi[perm], alpha[perm]
 
         first = _segment_first(pix)
         ln1m = np.log1p(-alpha)
@@ -328,6 +336,8 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
         if not any_dead:
             any_dead = bool(t_img.min() < TERMINATE_TRANSMITTANCE)
         if keep_tape:
+            dx = pix % width - proj.mean2d[gi, 0]
+            dy = pix // width - proj.mean2d[gi, 1]
             parts.append((pix, gi, dx, dy, alpha, t_before, live))
             total += len(pix)
             offsets.append(total)

@@ -185,7 +185,6 @@ def densify_and_prune(scene: GaussianScene, state: AdamState,
     survivors keep theirs, new entries start at zero.
     Returns (scene, state).
     """
-    n = len(scene)
     mean_grad = pos_accum / np.maximum(touch_accum, 1.0)
     high = (mean_grad > cfg.grad_threshold) & (touch_accum > 0)
     max_scale = scene.scales.max(axis=1)
@@ -195,24 +194,15 @@ def densify_and_prune(scene: GaussianScene, state: AdamState,
     clone_mask = high & ~large & ~prune
     split_mask = high & large & ~prune
 
-    survivors = ~prune & ~split_mask
-    budget = cfg.max_count - int(survivors.sum())
-
-    clone_idx = np.flatnonzero(clone_mask)
-    split_idx = np.flatnonzero(split_mask)
-    # candidate selection under the cap: highest mean gradient first
-    cand = np.concatenate([clone_idx, split_idx])
-    costs = np.concatenate([np.ones(len(clone_idx), dtype=np.int64),
-                            np.full(len(split_idx), 2, dtype=np.int64)])
-    if len(cand):
-        order = np.argsort(-mean_grad[cand], kind="stable")
-        take = np.cumsum(costs[order]) <= max(budget, 0)
-        chosen = cand[order][take]
-        clone_idx = np.sort(chosen[np.isin(chosen, clone_idx)])
-        split_idx = np.sort(chosen[np.isin(chosen, split_idx)])
-        # splits not chosen survive unchanged
-        dropped_splits = np.setdiff1d(np.flatnonzero(split_mask), split_idx)
-        survivors[dropped_splits] = True
+    # every unpruned Gaussian stays unless it is split; a clone or a split
+    # each adds one Gaussian, chosen by highest mean gradient within the cap
+    budget = max(cfg.max_count - int(np.count_nonzero(~prune)), 0)
+    cand = np.flatnonzero(clone_mask | split_mask)
+    chosen = cand[np.argsort(-mean_grad[cand], kind="stable")[:budget]]
+    clone_idx = np.sort(chosen[clone_mask[chosen]])
+    split_idx = np.sort(chosen[split_mask[chosen]])
+    survivors = ~prune
+    survivors[split_idx] = False
 
     parts = [scene.take(survivors), scene.take(clone_idx)]
     if len(split_idx):

@@ -92,6 +92,16 @@ class TestParseArgs:
         assert parse(TRAIN_FAST + ["--out", "o", "--set", "seed=5"]).config.seed == 5
         assert parse(["make-synthetic", "--out", "o"]).config.seed == 0
 
+    @pytest.mark.parametrize("head", [["make-synthetic"], TRAIN_FAST],
+                             ids=["make-synthetic", "train"])
+    def test_explicit_seed_wins_over_config_and_overrides(self, head, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 6}))
+        base = head + ["--out", "o", "--seed", "4"]
+        assert parse(base + ["--set", "seed=5"]).config.seed == 4
+        assert parse(base + ["--config", str(cfg)]).config.seed == 4
+        assert parse(base + ["--config", str(cfg), "--set", "seed=5"]).config.seed == 4
+
     def test_unreadable_config_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             parse(["train", "--data", "d", "--mode", "fast", "--out", "o",

@@ -276,6 +276,10 @@ class TestInitPointCloud:
                              rng=np.random.default_rng(4))
         np.testing.assert_array_equal(a.means, b.means)
 
+    def test_random_needs_an_rng(self):
+        with pytest.raises(ValueError, match="rng"):
+            init_point_cloud("random", n=5, bbox=[[-1] * 3, [1] * 3])
+
     def test_initial_opacity_and_intensity(self, rng):
         scene = init_point_cloud("random", n=10, bbox=[[-1] * 3, [1] * 3], rng=rng)
         np.testing.assert_allclose(scene.opacities, 0.1, atol=1e-12)

@@ -16,7 +16,7 @@ from evsplat.backward import render_backward
 from evsplat.camera import CameraModel
 from evsplat.quat import quat_normalize, quat_to_rot, rot_to_quat
 import evsplat.render as R
-from evsplat.render import (ALPHA_MIN, CHUNK_SIZE, COV2D_DILATION,
+from evsplat.render import (ALPHA_MIN, CHUNK_PAIRS, COV2D_DILATION,
                             TERMINATE_TRANSMITTANCE, _project, render)
 from evsplat.scene import Gaussian3D, GaussianScene
 from evsplat.training import TRAIN_ALPHA_MIN
@@ -30,16 +30,19 @@ def single_gaussian_scene(mean=(0.0, 0.0, 2.0), logit=12.0, intensity=0.8,
 
 
 def multi_chunk_scene(rng, back=40):
-    """One chunk of small opaque Gaussians in front of the left half of a 16x16
-    view, which terminates pixels there, and larger translucent Gaussians
-    behind them over the whole view, which fall in the second chunk."""
-    n = CHUNK_SIZE + back
-    front = np.arange(n) < CHUNK_SIZE
+    """More than a chunk's pair budget of small opaque Gaussians in front of
+    the left half of a 16x16 view, which terminates pixels there, and larger
+    translucent Gaussians behind them over the whole view, which fall in later
+    chunks.  Each front footprint's ellipse is at least 171 pixels at the
+    exact cutoff, so CHUNK_PAIRS // 128 of them overflow the first chunk."""
+    n_front = CHUNK_PAIRS // 128
+    n = n_front + back
+    front = np.arange(n) < n_front
     means = np.column_stack([
         np.where(front, rng.uniform(-0.4, 0.0, n), rng.uniform(-0.7, 0.7, n)),
         np.where(front, rng.uniform(-0.4, 0.4, n), rng.uniform(-0.7, 0.7, n)),
         np.where(front, rng.uniform(2.0, 2.4, n), rng.uniform(3.0, 4.0, n))])
-    log_scales = np.log(np.where(front, rng.uniform(0.03, 0.05, n),
+    log_scales = np.log(np.where(front, rng.uniform(0.05, 0.08, n),
                                  rng.uniform(0.1, 0.2, n)))[:, None].repeat(3, axis=1)
     logits = np.where(front, 5.0, rng.uniform(-1.0, 1.0, n))
     return GaussianScene(means, rng.normal(size=(n, 4)), log_scales, logits,
@@ -87,35 +90,43 @@ def scenes_and_cameras(draw, max_n=8):
 
 def rect_footprints(proj, lo, hi, width):
     """Reference expansion: every pixel of each Gaussian's bounding rectangle,
-    Gaussian-major, row-major."""
+    Gaussian-major, row-major, with q in the renderer's row form, evaluated
+    the same way."""
     parts = []
     for g in range(lo, hi):
         x0, x1, y0, y1 = proj.rect[g]
-        ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
-        parts.append((np.full(xs.size, g), xs.ravel(), ys.ravel()))
-    gi, px, py = (np.concatenate([p[i] for p in parts]).astype(np.int32) for i in range(3))
-    return gi, px, py, py * np.int32(width) + px
+        (a, b), (_, c) = proj.cov2d[g]
+        ys, xs = (v.ravel() for v in np.mgrid[y0:y1 + 1, x0:x1 + 1].astype(np.int32))
+        dy = ys - proj.mean2d[g, 1]
+        t = xs - (proj.mean2d[g, 0] + b / c * dy)
+        q = c / (a * c - b * b) * (t * t) + dy * dy / c
+        parts.append((np.full(xs.size, g, dtype=np.int32), ys * np.int32(width) + xs, q))
+    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
 
 
-def within_cutoff(proj, gi, px, py):
-    """The compositor's test, evaluated the same way: alpha >= ALPHA_MIN."""
-    dx = px - proj.mean2d[gi, 0]
-    dy = py - proj.mean2d[gi, 1]
+def quadratic_form(proj, gi, pix, width):
+    """q = d^T Sigma^-1 d from the inverse covariance, and the sum of its
+    terms' magnitudes, which bounds its rounding."""
+    dx = pix % width - proj.mean2d[gi, 0]
+    dy = pix // width - proj.mean2d[gi, 1]
     inv = proj.cov2d_inv[gi]
-    q = inv[:, 0, 0] * dx * dx + 2.0 * inv[:, 0, 1] * dx * dy + inv[:, 1, 1] * dy * dy
-    return q <= proj.q_cut[gi]
+    terms = (inv[:, 0, 0] * dx * dx, 2.0 * inv[:, 0, 1] * dx * dy, inv[:, 1, 1] * dy * dy)
+    return sum(terms), sum(np.abs(v) for v in terms)
 
 
 def assert_same_survivors(proj, lo, hi, width):
     tight = R._chunk_footprints(proj, lo, hi, width)
     ref = rect_footprints(proj, lo, hi, width)
-    for arr in tight:
-        assert arr.dtype == np.int32
-    gi, px, py, _ = tight
+    gi, pix, q = tight
+    assert (gi.dtype, pix.dtype, q.dtype) == (np.int32, np.int32, np.float64)
+    px, py = pix % width, pix // width
     rect = proj.rect[gi]
     assert np.all((rect[:, 0] <= px) & (px <= rect[:, 1])
                   & (rect[:, 2] <= py) & (py <= rect[:, 3]))
-    keep_t, keep_r = within_cutoff(proj, *tight[:3]), within_cutoff(proj, *ref[:3])
+    # the row form is the Mahalanobis distance
+    quad, scale = quadratic_form(proj, gi, pix, width)
+    assert np.all(np.abs(q - quad) <= 1e-9 * scale + 1e-12)
+    keep_t, keep_r = q <= proj.q_cut[gi], ref[2] <= proj.q_cut[ref[0]]
     for t, r in zip(tight, ref):
         np.testing.assert_array_equal(t[keep_t], r[keep_r])
     return len(gi), len(ref[0])
@@ -191,7 +202,7 @@ class TestRenderForward:
         assert not tape.live[:tape.chunk_offsets[1]].all()
         upstream = rng.normal(size=(16, 16))
         buf = render_backward(scene, cam, upstream, tape)
-        second = tape.proj.orig_idx[CHUNK_SIZE:]
+        second = tape.proj.orig_idx[np.unique(tape.gi[tape.chunk_offsets[1]:])]
         picks = second[np.argsort(-np.abs(buf.d_intensities[second]))[:3]]
 
         def loss():
@@ -207,6 +218,36 @@ class TestRenderForward:
                 lm = loss()
                 arr[k] = orig
                 assert grad[k] == pytest.approx((lp - lm) / (2 * h), rel=1e-5, abs=1e-9)
+
+    def test_any_pair_budget_matches_reference(self):
+        # one Gaussian per chunk, the default budget, and a single chunk
+        cam = small_camera()
+        for scene in (random_scene(np.random.default_rng(20), 16),
+                      multi_chunk_scene(np.random.default_rng(21))):
+            slow = reference_render(scene, cam)
+            chunks = []
+            for budget in (1, CHUNK_PAIRS, np.inf):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(R, "CHUNK_PAIRS", budget)
+                    out = render(scene, cam, keep_tape=True)
+                np.testing.assert_allclose(out.image, slow, atol=1e-12)
+                chunks.append(len(out.tape.chunk_offsets) - 1)
+            assert chunks[0] >= chunks[1] >= chunks[2] == 1
+        assert chunks[1] >= 2
+
+    def test_chunks_fill_the_pair_budget_in_depth_order(self):
+        proj = _project(multi_chunk_scene(np.random.default_rng(4)), small_camera())
+        cov = proj.cov2d
+        estimate = np.pi * proj.q_cut * np.sqrt(cov[:, 0, 0] * cov[:, 1, 1]
+                                                - cov[:, 0, 1] ** 2)
+        bounds = list(R._chunk_bounds(proj))
+        assert len(bounds) >= 2
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == len(proj.orig_idx)
+        for lo, hi in bounds:
+            assert hi - lo == 1 or estimate[lo:hi].sum() <= CHUNK_PAIRS
+        for lo, hi in bounds[:-1]:
+            assert estimate[lo:hi + 1].sum() > CHUNK_PAIRS
 
     def test_matches_reference_past_16_bit_pixel_ids(self):
         # 257x256 pixels take the 32-bit sort key; pixel k of the top row and
@@ -231,6 +272,10 @@ class TestRenderForward:
         scene, cam = view
         out = render(scene, cam, keep_tape=True)
         tape = out.tape
+        # the tape keeps each pair's offset from its Gaussian's mean
+        mean = tape.proj.mean2d[tape.gi]
+        np.testing.assert_array_equal(tape.dx, tape.pix % cam.width - mean[:, 0])
+        np.testing.assert_array_equal(tape.dy, tape.pix // cam.width - mean[:, 1])
         weights = np.where(tape.live, tape.alpha * tape.t_before, 0.0)
         colors = scene.intensities[tape.proj.orig_idx][tape.gi]
         contributions = np.bincount(tape.pix, weights=weights * colors,

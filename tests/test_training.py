@@ -186,6 +186,21 @@ class TestDensify:
                                    1.0, rng)
         assert len(out) <= 6
 
+    @pytest.mark.parametrize("large", [[], slice(None), slice(None, None, 2)],
+                             ids=["clones", "splits", "both"])
+    def test_count_never_passes_max_count(self, rng, large):
+        # every Gaussian is a clone or a split candidate, more than the cap
+        # leaves room for
+        scene = self._scene(n=10, scale=0.005)
+        scene.log_scales[large] = np.log(0.2)
+        state = AdamState.for_scene(scene)
+        cfg = DensifyConfig(grad_threshold=0.5, max_count=13)
+        for _ in range(3):
+            scene, state = densify_and_prune(scene, state, np.ones(len(scene)),
+                                             np.ones(len(scene)), cfg, 1.0, rng)
+            assert len(scene) == cfg.max_count
+            assert state.m["means"].shape == (cfg.max_count, 3)
+
     def test_parameters_stay_finite_and_alpha_in_range(self, rng):
         scene = self._scene(scale=0.2)
         state = AdamState.for_scene(scene)
