@@ -8,10 +8,22 @@ suffix sums: with contributions w_i = alpha_i * T_i and colors c_i,
     dI/dalpha_i = c_i T_i - (sum_{j>i} c_j w_j + background * T_final) / (1 - alpha_i)
 
 for live elements; elements dropped by the transmittance termination receive
-zero gradient, matching the forward replay.  The tape's flat arrays are
-grouped per depth chunk, so chunks are walked in reverse with a running
-image of later-chunk contributions.  Screen-space positional gradient
-magnitudes and touch counts are accumulated for adaptive density control.
+zero gradient, matching the forward replay, and are dropped before any work.
+The tape's flat arrays are grouped per depth chunk, so chunks are walked in
+reverse with one per-pixel array `later`, background * T_final plus every
+later chunk's contributions.  Within a chunk, with incl the running sum of
+c w over the chunk's pairs, each pixel's head is `later` plus incl at its
+last pair, and each pair's parenthesised suffix is head - incl: one gather
+per pair.
+
+Each pair then contributes u = g * alpha * dI/dalpha, g its pixel's
+upstream, and, with d = pixel - mean2d and alpha = alpha_base exp(-q/2),
+q = d^T Minv d, only seven per-Gaussian moments are summed over pairs:
+sum g w, sum u, sum u d_x, sum u d_y, sum u d_x^2, sum u d_x d_y and
+sum u d_y^2.  The per-Gaussian constants come out of the sums afterwards:
+dL/dalpha_base = sum u / alpha_base, dL/dmean2d = Minv (sum u d), and
+dL/dMinv = -1/2 sum u d d^T.  Screen-space positional gradient magnitudes
+and touch flags (any live pair) are kept for adaptive density control.
 """
 
 from __future__ import annotations
@@ -88,90 +100,80 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
     if m == 0 or len(tape.pix) == 0:
         return buf
 
-    pcount = tape.width * tape.height
-    background = float(scene.background)
     colors = scene.intensities[proj.orig_idx]
     ups_flat = upstream.reshape(-1)
-    bg_term = background * tape.t_final
 
-    grad_c = np.zeros(m)
-    grad_ab = np.zeros(m)
-    grad_mx = np.zeros(m)
-    grad_my = np.zeros(m)
-    g_ia = np.zeros(m)
-    g_ib = np.zeros(m)
-    g_ic = np.zeros(m)
-    touched = np.zeros(m)
-    s_later = np.zeros(pcount)
+    # per-Gaussian moments of the per-pair terms, summed over the chunks
+    sum_gw, sum_u, sum_udx, sum_udy, sum_udxx, sum_udxy, sum_udyy = np.zeros((7, m))
+    touched = np.zeros(m, dtype=bool)
+    # per pixel: background * T_final plus every later chunk's contributions
+    later = float(scene.background) * tape.t_final
 
     offs = tape.chunk_offsets
     for c in range(len(offs) - 2, -1, -1):
         sl = slice(int(offs[c]), int(offs[c + 1]))
-        pix = tape.pix[sl]
-        gi = tape.gi[sl]
-        dx = tape.dx[sl]
-        dy = tape.dy[sl]
-        alpha = tape.alpha[sl]
-        t_before = tape.t_before[sl]
         live = tape.live[sl]
+        # dead pairs contribute nothing and receive no gradient
+        parts = (tape.pix[sl], tape.gi[sl], tape.dx[sl], tape.dy[sl],
+                 tape.alpha[sl], tape.t_before[sl])
+        if not live.all():
+            parts = tuple(v[live] for v in parts)
+        pix, gi, dx, dy, alpha, t_before = parts
+        # intp indices gather and bincount faster than the tape's int32
+        pix = pix.astype(np.intp)
+        gi = gi.astype(np.intp)
 
-        w_c = np.where(live, alpha * t_before, 0.0)
-        cw = w_c * colors[gi]
-        first = _segment_first(pix)
+        w = alpha * t_before
+        cw = w * colors[gi]
         incl = np.cumsum(cw)
-        seg_id = np.cumsum(first) - 1
-        incl_within = incl - (incl - cw)[first][seg_id]
-        tot = np.bincount(pix, weights=cw, minlength=pcount)
-        suffix_after = (tot[pix] - incl_within) + s_later[pix]
-        s_later += tot
+        starts = np.flatnonzero(_segment_first(pix))
+        ends = np.append(starts[1:], len(pix)) - 1
+        seg_pix = pix[starts]
+        # later becomes the head of each pixel's suffix in this chunk; the
+        # suffix after a pair, background term included, is head - incl
+        later[seg_pix] += incl[ends]
+        suffix_bg = later[pix] - incl
+        later[seg_pix] -= incl[starts] - cw[starts]
 
         g_px = ups_flat[pix]
-        di_dalpha = np.where(
-            live,
-            colors[gi] * t_before - (suffix_after + bg_term[pix]) / (1.0 - alpha),
-            0.0)
-        grad_alpha = g_px * di_dalpha
-        grad_c_flat = g_px * w_c
-        gauss_weight = alpha / proj.alpha_base[gi]      # exp(-q/2)
-        grad_ab_flat = grad_alpha * gauss_weight
-        grad_q_flat = grad_alpha * (-0.5 * alpha)
-
-        ia = proj.cov2d_inv[gi, 0, 0]
-        ib = proj.cov2d_inv[gi, 0, 1]
-        ic = proj.cov2d_inv[gi, 1, 1]
-        grad_dx = grad_q_flat * 2.0 * (ia * dx + ib * dy)
-        grad_dy = grad_q_flat * 2.0 * (ib * dx + ic * dy)
+        # u = g_px alpha dI/dalpha
+        u = g_px * (cw - suffix_bg * (alpha / (1.0 - alpha)))
+        udx = u * dx
+        udy = u * dy
 
         def per_gaussian(v):
             return np.bincount(gi, weights=v, minlength=m)
 
-        grad_c += per_gaussian(grad_c_flat)
-        grad_ab += per_gaussian(grad_ab_flat)
-        grad_mx -= per_gaussian(grad_dx)
-        grad_my -= per_gaussian(grad_dy)
-        # unconstrained matrix cotangent of q = d^T Minv d: dq/dMinv[i,j] = d_i d_j
-        g_ia += per_gaussian(grad_q_flat * dx * dx)
-        g_ib += per_gaussian(grad_q_flat * dx * dy)
-        g_ic += per_gaussian(grad_q_flat * dy * dy)
-        touched += per_gaussian(live.astype(np.float64))
+        sum_gw += per_gaussian(g_px * w)
+        sum_u += per_gaussian(u)
+        sum_udx += per_gaussian(udx)
+        sum_udy += per_gaussian(udy)
+        sum_udxx += per_gaussian(udx * dx)
+        sum_udxy += per_gaussian(udx * dy)
+        sum_udyy += per_gaussian(udy * dy)
+        touched[gi] = True
 
-    # chain grad of cov2d inverse to cov2d: dL/dS' = -Minv G Minv
-    g_m = np.empty((m, 2, 2))
-    g_m[:, 0, 0] = g_ia
-    g_m[:, 0, 1] = g_ib
-    g_m[:, 1, 0] = g_ib
-    g_m[:, 1, 1] = g_ic
+    # alpha = alpha_base exp(-q/2) with q = d^T Minv d, d = pixel - mean2d
     minv = proj.cov2d_inv
-    g_cov2d = -np.einsum("mij,mjk,mkl->mil", minv, g_m, minv)
+    ia, ib, ic = minv[:, 0, 0], minv[:, 0, 1], minv[:, 1, 1]
+    grad_ab = sum_u / proj.alpha_base
+    grad_mx = ia * sum_udx + ib * sum_udy
+    grad_my = ib * sum_udx + ic * sum_udy
+    # unconstrained matrix cotangent of q: dq/dMinv[i,j] = d_i d_j
+    g_m = np.empty((m, 2, 2))
+    g_m[:, 0, 0] = -0.5 * sum_udxx
+    g_m[:, 0, 1] = g_m[:, 1, 0] = -0.5 * sum_udxy
+    g_m[:, 1, 1] = -0.5 * sum_udyy
+    # chain grad of cov2d inverse to cov2d: dL/dS' = -Minv G Minv
+    g_cov2d = -(minv @ g_m @ minv)
 
     # projection chain, through the intermediates _project kept
     z = proj.depth
     x = proj.p_cam[:, 0]
     y = proj.p_cam[:, 1]
     A = proj.jac_r
-    g_sigma = np.einsum("mij,mil,mlk->mjk", A, g_cov2d, A)
-    g_a_mat = 2.0 * np.einsum("mil,mlk,mkj->mij", g_cov2d, A, proj.sigma)
-    g_j = np.einsum("mik,jk->mij", g_a_mat, cam.R)
+    g_sigma = A.transpose(0, 2, 1) @ g_cov2d @ A
+    g_j = 2.0 * (g_cov2d @ A @ proj.sigma) @ cam.R.T
 
     gm2d = np.stack([grad_mx, grad_my], axis=1)
     grad_pcam = np.einsum("mij,mi->mj", proj.jac, gm2d)
@@ -184,7 +186,7 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
                         + g_j[:, 1, 2] * (2.0 * cam.fy * y / z3))
     grad_mean = grad_pcam @ cam.R
 
-    g_m3 = 2.0 * np.einsum("mij,mjk->mik", g_sigma, proj.rs)
+    g_m3 = 2.0 * (g_sigma @ proj.rs)
     grad_log_scale = np.einsum("mik,mik->mk", proj.rot, g_m3) * proj.scale
     g_r3 = g_m3 * proj.scale[:, None, :]
     grad_quat = _quat_rotation_adjoint(g_r3, scene.quats[proj.orig_idx])
@@ -198,7 +200,7 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
     buf.d_quats[oi] = grad_quat
     buf.d_log_scales[oi] = grad_log_scale
     buf.d_opacity_logits[oi] = grad_logit
-    buf.d_intensities[oi] = grad_c
+    buf.d_intensities[oi] = sum_gw
     buf.pos_grad_norm[oi] = np.hypot(grad_mx, grad_my)
-    buf.touched[oi] = (touched > 0).astype(np.float64)
+    buf.touched[oi] = touched
     return buf

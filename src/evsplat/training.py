@@ -169,8 +169,20 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 def optimizer_step(scene: GaussianScene, buf: GradientBuffer, state: AdamState,
                    lrs: dict[str, float]) -> None:
+    """Adam update of every parameter, then quaternion re-normalisation.
+
+    Raises RuntimeError, naming the parameter, when the update leaves a
+    non-finite entry (a zero quaternion normalises to NaN), so that a run
+    stops at the step instead of saving a scene that cannot be loaded.
+    """
     adam_step(scene.params(), {k: getattr(buf, "d_" + k) for k in PARAMS}, state, lrs)
-    scene.quats = quat_normalize(scene.quats)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scene.quats = quat_normalize(scene.quats)
+    for name, value in scene.params().items():
+        bad = int(np.count_nonzero(~np.isfinite(value)))
+        if bad:
+            raise RuntimeError(f"{bad} non-finite {name} entries after optimizer "
+                               f"step {state.step}")
 
 
 def densify_and_prune(scene: GaussianScene, state: AdamState,

@@ -5,7 +5,8 @@ from conftest import random_scene, small_camera
 
 from evsplat.backward import GradientBuffer, render_backward
 from evsplat.render import render
-from evsplat.scene import Gaussian3D, GaussianScene
+from evsplat.scene import PARAMS, Gaussian3D, GaussianScene
+from evsplat.training import TRAIN_ALPHA_MIN
 
 
 def fd_check(scene, cam, upstream, h=1e-4, rel_tol=1e-4, abs_tol=1e-7):
@@ -104,6 +105,28 @@ class TestGradientCheck:
         buf = render_backward(scene, cam, np.ones((16, 16)))
         assert np.all(buf.touched[buf.pos_grad_norm > 0] == 1)
         assert np.all(buf.pos_grad_norm >= 0)
+
+    def test_touched_only_through_live_pairs(self, rng):
+        # two wide opaque Gaussians terminate every pixel of the small one
+        # behind them in the same chunk, so all of its pairs are on the tape
+        # but dead
+        def gaussian(z, scale, logit):
+            return Gaussian3D(np.array([0.0, 0.0, z]), np.array([1.0, 0, 0, 0]),
+                              np.log([scale] * 3), logit, 0.6)
+
+        scene = GaussianScene.from_gaussians(
+            [gaussian(2.0, 1.0, 10.0), gaussian(2.1, 1.0, 10.0), gaussian(3.0, 0.002, 0.0)],
+            background=0.2)
+        cam = small_camera()
+        tape = render(scene, cam, keep_tape=True, alpha_min=TRAIN_ALPHA_MIN).tape
+        assert len(tape.chunk_offsets) == 2
+        hidden = tape.gi == np.flatnonzero(tape.proj.orig_idx == 2)[0]
+        assert hidden.any() and not tape.live[hidden].any()
+        buf = render_backward(scene, cam, rng.normal(size=(16, 16)), tape)
+        np.testing.assert_array_equal(buf.touched, [1.0, 1.0, 0.0])
+        for name in PARAMS:
+            assert not getattr(buf, "d_" + name)[2].any()
+        assert buf.pos_grad_norm[2] == 0.0
 
     def test_buffer_weighted_accumulation(self, rng):
         scene = random_scene(rng, 5)

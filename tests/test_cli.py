@@ -258,6 +258,24 @@ class TestPipeline:
         assert "record 1" in capsys.readouterr().err
         assert os.listdir(str(tmp_path / "o")) == []
 
+    def test_nonfinite_step_exits_one(self, tiny_dataset, tmp_path, capsys, monkeypatch):
+        from evsplat import training
+        step = training.adam_step
+
+        def step_to_zero_quaternion(params, *args):
+            step(params, *args)
+            params["quats"][3] = 0.0
+
+        monkeypatch.setattr(training, "adam_step", step_to_zero_quaternion)
+        out_dir = str(tmp_path / "nan")
+        code = run(parse(["train", "--data", tiny_dataset, "--mode", "hq", "--out", out_dir,
+                          "--set", "iterations=3", "--set", "warmup_iters=1"]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: 4 non-finite quats entries after optimizer step 1" in err
+        assert "Traceback" not in err
+        assert os.listdir(out_dir) == []
+
     def test_render_bad_frame_exits_one(self, tiny_dataset, tmp_path, capsys):
         code = run(parse(["render", "--data", tiny_dataset, "--checkpoint",
                           os.path.join(tiny_dataset, "gt_scene.egs"),

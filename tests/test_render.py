@@ -202,22 +202,33 @@ class TestRenderForward:
         assert not tape.live[:tape.chunk_offsets[1]].all()
         upstream = rng.normal(size=(16, 16))
         buf = render_backward(scene, cam, upstream, tape)
-        second = tape.proj.orig_idx[np.unique(tape.gi[tape.chunk_offsets[1]:])]
-        picks = second[np.argsort(-np.abs(buf.d_intensities[second]))[:3]]
+
+        # the adjoint of a first-chunk Gaussian reads every later chunk's
+        # contributions; a later-chunk Gaussian's goes through the filter
+        def largest(sl):
+            ids = tape.proj.orig_idx[np.unique(tape.gi[sl])]
+            return ids[np.argsort(-np.abs(buf.d_intensities[ids]))[:3]]
+
+        split = tape.chunk_offsets[1]
+        picks = np.concatenate([largest(slice(0, split)), largest(slice(split, None))])
 
         def loss():
             return float(np.sum(upstream * render(scene, cam).image))
 
         for arr, grad, h in ((scene.intensities, buf.d_intensities, 1e-4),
-                             (scene.opacity_logits, buf.d_opacity_logits, 1e-5)):
+                             (scene.opacity_logits, buf.d_opacity_logits, 1e-5),
+                             (scene.means, buf.d_means, 1e-5),
+                             (scene.log_scales, buf.d_log_scales, 1e-5)):
             for k in picks:
-                orig = arr[k]
-                arr[k] = orig + h
-                lp = loss()
-                arr[k] = orig - h
-                lm = loss()
-                arr[k] = orig
-                assert grad[k] == pytest.approx((lp - lm) / (2 * h), rel=1e-5, abs=1e-9)
+                for j in np.ndindex(arr.shape[1:]):
+                    orig = arr[(k, *j)]
+                    arr[(k, *j)] = orig + h
+                    lp = loss()
+                    arr[(k, *j)] = orig - h
+                    lm = loss()
+                    arr[(k, *j)] = orig
+                    assert grad[(k, *j)] == pytest.approx((lp - lm) / (2 * h),
+                                                          rel=1e-5, abs=1e-9)
 
     def test_any_pair_budget_matches_reference(self):
         # one Gaussian per chunk, the default budget, and a single chunk

@@ -132,6 +132,15 @@ class TestAdam:
         optimizer_step(scene, buf, state, {k: 0.1 for k in scene.params()})
         np.testing.assert_allclose(np.linalg.norm(scene.quats, axis=1), 1.0, atol=1e-12)
 
+    def test_nonfinite_parameter_stops_the_step(self, rng):
+        # a zero quaternion with zero gradient normalises to NaN
+        scene, state = self._setup(rng)
+        scene.quats[2] = 0.0
+        buf = GradientBuffer.zeros(len(scene))
+        with pytest.raises(RuntimeError, match="4 non-finite quats entries after "
+                                               "optimizer step 1"):
+            optimizer_step(scene, buf, state, {k: 0.01 for k in scene.params()})
+
 
 class TestDensify:
     def _scene(self, n=6, scale=0.05):
