@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraModel
-from .render import ALPHA_MAX, RenderTape, _segment_first, render
+from .render import ALPHA_MAX, RenderTape, render
 from .scene import PARAMS, GaussianScene
 
 
@@ -61,6 +61,14 @@ class GradientBuffer:
         self.pos_grad_norm += abs(weight) * other.pos_grad_norm
         self.touched += other.touched
         return self
+
+
+def _segment_first(sorted_keys: np.ndarray) -> np.ndarray:
+    first = np.empty(len(sorted_keys), dtype=bool)
+    if len(sorted_keys):
+        first[0] = True
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return first
 
 
 def _quat_rotation_adjoint(g_r: np.ndarray, quats: np.ndarray) -> np.ndarray:
@@ -171,9 +179,10 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
     z = proj.depth
     x = proj.p_cam[:, 0]
     y = proj.p_cam[:, 1]
-    A = proj.jac_r
-    g_sigma = A.transpose(0, 2, 1) @ g_cov2d @ A
-    g_j = 2.0 * (g_cov2d @ A @ proj.sigma) @ cam.R.T
+    # cov2d = T T^T + dilation with T = A rs and A = J R_cam, so
+    # dL/dT = 2 g_cov2d T, dL/dJ = dL/dT rs^T R_cam^T and dL/drs = A^T dL/dT
+    g_t = 2.0 * (g_cov2d @ proj.jac_rs)
+    g_j = (g_t @ proj.rs.transpose(0, 2, 1)) @ cam.R.T
 
     gm2d = np.stack([grad_mx, grad_my], axis=1)
     grad_pcam = np.einsum("mij,mi->mj", proj.jac, gm2d)
@@ -186,9 +195,9 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
                         + g_j[:, 1, 2] * (2.0 * cam.fy * y / z3))
     grad_mean = grad_pcam @ cam.R
 
-    g_m3 = 2.0 * (g_sigma @ proj.rs)
-    grad_log_scale = np.einsum("mik,mik->mk", proj.rot, g_m3) * proj.scale
-    g_r3 = g_m3 * proj.scale[:, None, :]
+    g_rs = proj.jac_r.transpose(0, 2, 1) @ g_t
+    grad_log_scale = np.einsum("mik,mik->mk", proj.rot, g_rs) * proj.scale
+    g_r3 = g_rs * proj.scale[:, None, :]
     grad_quat = _quat_rotation_adjoint(g_r3, scene.quats[proj.orig_idx])
 
     sig = 1.0 / (1.0 + np.exp(-scene.opacity_logits[proj.orig_idx]))

@@ -14,6 +14,14 @@ import numpy as np
 from .quat import quat_slerp, quat_to_rot, rot_to_quat
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors, with its products and subtractions in the
+    same order, so the result is bit-identical, without its per-call cost."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 @dataclass(frozen=True)
 class CameraModel:
     fx: float
@@ -43,12 +51,12 @@ class CameraModel:
         eye = np.asarray(eye, dtype=np.float64)
         forward = np.asarray(target, dtype=np.float64) - eye
         forward = forward / np.linalg.norm(forward)
-        right = np.cross(forward, np.asarray(up, dtype=np.float64))
+        right = _cross(forward, np.asarray(up, dtype=np.float64))
         nrm = np.linalg.norm(right)
         if nrm < 1e-12:
             raise ValueError("view direction is parallel to up")
         right = right / nrm
-        down = np.cross(forward, right)
+        down = _cross(forward, right)
         R = np.stack([right, down, forward])
         return CameraModel(fx, fy, cx, cy, width, height, R, -R @ eye)
 
@@ -58,9 +66,9 @@ def _orthonormal_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     axis = np.asarray(axis, dtype=np.float64)
     axis = axis / np.linalg.norm(axis)
     helper = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(helper, axis)
+    e1 = _cross(helper, axis)
     e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
+    e2 = _cross(axis, e1)
     return e1, e2
 
 

@@ -17,10 +17,15 @@ range.  The backward pass is then the exact gradient of the truncated image
 away from footprint edges, where a pair enters or leaves the footprint with
 a jump of about alpha_min.
 Pairs are built only on the ellipse's rows and, per row, on the conic's
-x-interval, both widened by a small margin; the exact q <= q_cut test then
-decides which pairs are composited.  Each pair's q comes from terms of its
-row: completing the square in x, q = (c/det) (x - centre)^2 + dy^2 / c with
-Sigma = [[a, b], [b, c]] and the row's centre mx + (b/c) dy.
+x-interval, both widened by a small margin; the exact alpha >= alpha_min
+test then decides which pairs are composited.  Each pair's log-alpha,
+ln alpha_base - q/2, comes from terms of its row (see _chunk_footprints), so
+the cutoff is one compare with ln alpha_min and alpha one exp, with no
+per-pair lookup of a Gaussian's terms.  Footprint indices are intp, which
+numpy gathers with no conversion; a taped render casts them to int32 once
+per chunk.  The 2D covariance is T T^T plus dilation, with T = A (R S) and A
+the perspective Jacobian times the camera rotation, built entry by entry so
+that it is exactly symmetric.
 
 Implementation: flat arrays over (gaussian, pixel-in-footprint) pairs,
 processed in depth-ordered chunks of consecutive Gaussians whose estimated
@@ -28,11 +33,18 @@ pairs, each footprint's ellipse area pi q_cut sqrt(det), sum to at most
 CHUNK_PAIRS, so that a chunk's per-pair arrays stay near the size of a
 core's L2 cache.  Within a chunk, elements are stably sorted by pixel id
 (radix for 16-bit ids), making the per-pixel compositing order the global
-depth order; transmittances are exclusive segmented cumulative sums of
-log(1 - alpha) scaled by the transmittance entering the chunk.  Once some
-pixel has terminated, each later chunk drops the pairs whose pixel has
-terminated, with those outside the cutoff, before any transcendental work.
-Only a taped render keeps each pair's offset from its Gaussian's mean.
+depth order.  One count of the chunk's pairs per pixel gives the sorted
+pixel ids and each pixel's segment.  A pair's transmittance is the
+transmittance entering the chunk times exp of the chunk's exclusive cumsum
+of log(1 - alpha) less that cumsum at its pixel's first pair, where the
+difference is exactly 0.  Contributions are summed per segment with
+np.add.reduceat.  The live log(1 - alpha) are summed per pixel in pair
+order by bincount, as reduceat's pairwise sums would not be, so a
+per-pixel replay of the tape gives each chunk's entering transmittance bit
+for bit.  Once some pixel has terminated, each later chunk drops the pairs
+whose pixel has terminated, with those below the cutoff, before any
+transcendental work.  Only a taped render keeps each pair's offset from its
+Gaussian's mean.
 
 Importing the module sets two process-wide options of the C library's heap
 where it has mallopt (glibc): blocks up to 32 MiB come from the heap rather
@@ -88,12 +100,13 @@ class Projection:
     rot: np.ndarray         # (M, 3, 3) Gaussian rotation
     scale: np.ndarray       # (M, 3) exp(log_scale)
     rs: np.ndarray          # (M, 3, 3) rot * scale, so sigma = rs rs^T
-    sigma: np.ndarray       # (M, 3, 3) world covariance
-    cov2d: np.ndarray       # (M, 2, 2) A sigma A^T after dilation
+    jac_rs: np.ndarray      # (M, 2, 3) T = A rs, so A sigma A^T = T T^T
+    cov2d: np.ndarray       # (M, 2, 2) T T^T after dilation
     cov2d_inv: np.ndarray   # (M, 2, 2)
     depth: np.ndarray       # (M,) camera z
     alpha_base: np.ndarray  # (M,) clipped sigmoid of opacity logit
     q_cut: np.ndarray       # (M,) Mahalanobis-squared footprint cutoff
+    log_alpha_min: float    # ln alpha_min, the pairs' cutoff
     rect: np.ndarray        # (M, 4) x0, x1, y0, y1 inclusive pixel bounds
 
 
@@ -141,26 +154,24 @@ def _project(scene: GaussianScene, cam: CameraModel,
     J[:, 0, 2] = -cam.fx * x / (z * z)
     J[:, 1, 1] = cam.fy / z
     J[:, 1, 2] = -cam.fy * y / (z * z)
-    A = np.einsum("mij,jk->mik", J, cam.R)
+    A = J @ cam.R
     rot = quat_to_rot(scene.quats[idx])
     scale = np.exp(scene.log_scales[idx])
-    # sigma = M M^T with M = R S is exactly symmetric: each mirrored entry
-    # sums the same commutative products
     rs = rot * scale[:, None, :]
-    sigma = np.einsum("mik,mjk->mij", rs, rs)
-    cov2d = np.einsum("mij,mjk,mlk->mil", A, sigma, A)
-    cov2d[:, 0, 0] += COV2D_DILATION
-    cov2d[:, 1, 1] += COV2D_DILATION
-
-    a = cov2d[:, 0, 0]
-    b = cov2d[:, 0, 1]
-    c = cov2d[:, 1, 1]
+    # A Sigma A^T = T T^T with T = A rs; built entry by entry, b serves both
+    # off-diagonal entries, so cov2d is exactly symmetric
+    T = A @ rs
+    t0, t1 = T[:, 0], T[:, 1]
+    a = np.einsum("mk,mk->m", t0, t0) + COV2D_DILATION
+    b = np.einsum("mk,mk->m", t0, t1)
+    c = np.einsum("mk,mk->m", t1, t1) + COV2D_DILATION
     det = a * c - b * b
     ok = np.isfinite(det) & (det > 1e-12)
 
     logits = scene.opacity_logits[idx]
     alpha_base = np.minimum(1.0 / (1.0 + np.exp(-logits)), ALPHA_MAX)
-    q_cut = 2.0 * (np.log(np.maximum(alpha_base, 1e-300)) - np.log(alpha_min))
+    log_alpha_min = float(np.log(alpha_min))
+    q_cut = 2.0 * (np.log(np.maximum(alpha_base, 1e-300)) - log_alpha_min)
     ok &= q_cut > 0
 
     lam_max = 0.5 * (a + c) + np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
@@ -174,11 +185,15 @@ def _project(scene: GaussianScene, cam: CameraModel,
     sel = np.flatnonzero(ok)
     order = sel[np.argsort(z[sel], kind="stable")]
 
+    a, b, c, det = a[order], b[order], c[order], det[order]
+    cov = np.empty((order.size, 2, 2))
+    cov[:, 0, 0] = a
+    cov[:, 0, 1] = cov[:, 1, 0] = b
+    cov[:, 1, 1] = c
     inv = np.empty((order.size, 2, 2))
-    inv[:, 0, 0] = c[order] / det[order]
-    inv[:, 0, 1] = -b[order] / det[order]
-    inv[:, 1, 0] = inv[:, 0, 1]
-    inv[:, 1, 1] = a[order] / det[order]
+    inv[:, 0, 0] = c / det
+    inv[:, 0, 1] = inv[:, 1, 0] = -b / det
+    inv[:, 1, 1] = a / det
     rect = np.stack([x0[order], x1[order], y0[order], y1[order]], axis=1).astype(np.int64)
     return Projection(
         orig_idx=idx[order],
@@ -189,28 +204,30 @@ def _project(scene: GaussianScene, cam: CameraModel,
         rot=rot[order],
         scale=scale[order],
         rs=rs[order],
-        sigma=sigma[order],
-        cov2d=cov2d[order],
+        jac_rs=T[order],
+        cov2d=cov,
         cov2d_inv=inv,
         depth=z[order],
         alpha_base=alpha_base[order],
         q_cut=q_cut[order],
+        log_alpha_min=log_alpha_min,
         rect=rect,
     )
 
 
 def _chunk_footprints(proj: Projection, lo: int, hi: int, width: int):
-    """Flat (gaussian, pixel, q) arrays for Gaussians [lo, hi): Gaussian-major,
-    row-major, x ascending, with q each pair's Mahalanobis distance.
+    """Flat (gaussian, pixel, log-alpha) intp/intp/float arrays for Gaussians
+    [lo, hi): Gaussian-major, row-major, x ascending.
 
     Each Gaussian covers the rows of its cutoff ellipse q <= q_cut and, on
     each row, the conic's x-interval, both widened by FOOTPRINT_MARGIN and
     clipped to its rect.  With Sigma = [[a, b], [b, c]], the ellipse spans
     dy^2 <= q_cut c, and row dy is centred on x = mx + (b/c) dy, from which
     q = (c/det) (x - centre)^2 + dy^2 / c, so row dy spans
-    centre +- sqrt(det (q_cut c - dy^2)) / c.
+    centre +- sqrt(det (q_cut c - dy^2)) / c.  A pair's log-alpha,
+    ln alpha_base - q/2, is its row's ln alpha_base - dy^2 / (2c) less
+    c/(2 det) times its squared distance from the row's centre.
     """
-    ids = np.arange(lo, hi, dtype=np.int32)
     rect = proj.rect[lo:hi]
     mx = proj.mean2d[lo:hi, 0]
     my = proj.mean2d[lo:hi, 1]
@@ -225,30 +242,32 @@ def _chunk_footprints(proj: Projection, lo: int, hi: int, width: int):
     slope = b / c
     shrink = np.sqrt(det) / c
 
-    y0 = np.maximum(np.ceil(my - ry - pad), rect[:, 2]).astype(np.int32)
-    y1 = np.minimum(np.floor(my + ry + pad), rect[:, 3]).astype(np.int32)
+    y0 = np.maximum(np.ceil(my - ry - pad), rect[:, 2]).astype(np.intp)
+    y1 = np.minimum(np.floor(my + ry + pad), rect[:, 3]).astype(np.intp)
     rows = np.maximum(y1 - y0 + 1, 0)
 
     def per_row(v):
         return np.repeat(v, rows)
 
-    # a chunk's pair count fits int32: its flat arrays would not fit in memory otherwise
-    row_start = np.cumsum(rows, dtype=np.int32) - rows
-    y = per_row(y0 - row_start) + np.arange(rows.sum(), dtype=np.int32)
+    row_start = np.cumsum(rows) - rows
+    y = per_row(y0 - row_start) + np.arange(rows.sum())
     dy = y - per_row(my)
     half = per_row(shrink) * np.sqrt(np.maximum(per_row(ry2) - dy * dy, 0.0)) + per_row(pad)
     centre = per_row(mx) + per_row(slope) * dy
-    x0 = np.maximum(np.ceil(centre - half), per_row(rect[:, 0])).astype(np.int32)
-    x1 = np.minimum(np.floor(centre + half), per_row(rect[:, 1])).astype(np.int32)
+    row_log_alpha = per_row(np.log(proj.alpha_base[lo:hi])) - 0.5 * (dy * dy / per_row(c))
+    x0 = np.maximum(np.ceil(centre - half), per_row(rect[:, 0])).astype(np.intp)
+    x1 = np.minimum(np.floor(centre + half), per_row(rect[:, 1])).astype(np.intp)
     counts = np.maximum(x1 - x0 + 1, 0)
-    seg_start = np.cumsum(counts, dtype=np.int32) - counts
-    n = int(counts.sum())
-    px = np.repeat(x0 - seg_start, counts) + np.arange(n, dtype=np.int32)
-    gi = np.repeat(per_row(ids), counts)
-    pix = np.repeat(y * np.int32(width), counts) + px
+    # one arange gives both each pair's x and its pixel id
+    step = np.arange(counts.sum())
+    x_base = x0 - (np.cumsum(counts) - counts)
+    px = np.repeat(x_base, counts) + step
+    pix = np.repeat(x_base + y * width, counts) + step
+    gi = np.repeat(per_row(np.arange(lo, hi)), counts)
     t = px - np.repeat(centre, counts)
-    q = np.repeat(per_row(c / det), counts) * (t * t) + np.repeat(dy * dy / per_row(c), counts)
-    return gi, pix, q
+    log_alpha = (np.repeat(row_log_alpha, counts)
+                 - np.repeat(per_row(0.5 * c / det), counts) * (t * t))
+    return gi, pix, log_alpha
 
 
 def _stable_sort_by_pixel(pix: np.ndarray, pcount: int) -> np.ndarray:
@@ -256,22 +275,6 @@ def _stable_sort_by_pixel(pix: np.ndarray, pcount: int) -> np.ndarray:
     if pcount <= 65536:
         return np.argsort(pix.astype(np.uint16), kind="stable")
     return np.argsort(pix, kind="stable")
-
-
-def _segment_first(sorted_keys: np.ndarray) -> np.ndarray:
-    first = np.empty(len(sorted_keys), dtype=bool)
-    if len(sorted_keys):
-        first[0] = True
-        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return first
-
-
-def _segment_exclusive_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
-    incl = np.cumsum(values)
-    excl = incl - values
-    starts = np.flatnonzero(first)
-    reps = np.diff(np.append(starts, len(values)))
-    return excl - np.repeat(excl[starts], reps)
 
 
 def _chunk_bounds(proj: Projection):
@@ -300,45 +303,67 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
     t_img = np.ones(pcount)
     image_acc = np.zeros(pcount)
     extra_acc = np.zeros(pcount) if extra_weights is not None else None
+    # per pixel t_img >= TERMINATE_TRANSMITTANCE, once some pixel has terminated
+    alive = None
 
     parts = [] if keep_tape else None
     offsets = [0]
     total = 0
-    any_dead = False
+    if keep_tape:
+        pix_x = np.arange(pcount) % width
+        pix_y = np.arange(pcount) // width
+        mx, my = proj.mean2d[:, 0].copy(), proj.mean2d[:, 1].copy()
 
     for lo, hi in _chunk_bounds(proj):
-        gi, pix, q = _chunk_footprints(proj, lo, hi, width)
-        # q <= q_cut is alpha >= alpha_min, tested before the exp
-        keep = q <= proj.q_cut[gi]
-        if any_dead:
-            keep &= t_img[pix] >= TERMINATE_TRANSMITTANCE
+        gi, pix, log_alpha = _chunk_footprints(proj, lo, hi, width)
+        # alpha >= alpha_min, tested before the exp
+        keep = log_alpha >= proj.log_alpha_min
+        if alive is not None:
+            keep &= alive[pix]
         if not keep.all():
-            gi, pix, q = gi[keep], pix[keep], q[keep]
+            gi, pix, log_alpha = gi[keep], pix[keep], log_alpha[keep]
         if len(gi) == 0:
             continue
-        alpha = proj.alpha_base[gi] * np.exp(-0.5 * q)
 
         perm = _stable_sort_by_pixel(pix, pcount)
-        pix, gi, alpha = pix[perm], gi[perm], alpha[perm]
+        # the sort groups the pairs by pixel, in depth order: the pixel
+        # counts give each pixel's segment and the sorted pixel ids
+        counts = np.bincount(pix, minlength=pcount)
+        seg_pix = np.flatnonzero(counts)
+        seg_len = counts[seg_pix]
+        starts = np.cumsum(seg_len) - seg_len
+        pix = np.repeat(seg_pix, seg_len)
+        gi = gi[perm]
+        alpha = np.exp(log_alpha[perm])
 
-        first = _segment_first(pix)
         ln1m = np.log1p(-alpha)
-        t_before = t_img[pix] * np.exp(_segment_exclusive_cumsum(ln1m, first))
+        # exclusive scan per pixel: the chunk's exclusive cumsum less its value
+        # at the pixel's first pair, where the difference is exactly 0
+        scan = np.empty_like(ln1m)
+        scan[0] = 0.0
+        np.cumsum(ln1m[:-1], out=scan[1:])
+        scan -= np.repeat(scan[starts], seg_len)
+        t_before = np.repeat(t_img[seg_pix], seg_len) * np.exp(scan)
         live = t_before >= TERMINATE_TRANSMITTANCE
-        w_c = np.where(live, alpha * t_before, 0.0)
+        w = alpha * t_before
+        if not live.all():
+            w[~live] = 0.0
+            ln1m = np.where(live, ln1m, 0.0)
 
-        image_acc += np.bincount(pix, weights=w_c * colors[gi], minlength=pcount)
+        image_acc[seg_pix] += np.add.reduceat(w * colors[gi], starts)
         if extra_acc is not None:
-            extra_acc += np.bincount(pix, weights=w_c * extra_weights[gi],
-                                     minlength=pcount)
-        t_img *= np.exp(np.bincount(pix, weights=np.where(live, ln1m, 0.0),
-                                    minlength=pcount))
-        if not any_dead:
-            any_dead = bool(t_img.min() < TERMINATE_TRANSMITTANCE)
+            extra_acc[seg_pix] += np.add.reduceat(w * extra_weights[gi], starts)
+        # summed in pair order, as a per-pixel running sum would be
+        t_seg = t_img[seg_pix] * np.exp(
+            np.bincount(pix, weights=ln1m, minlength=pcount)[seg_pix])
+        t_img[seg_pix] = t_seg
+        if alive is not None or t_seg.min() < TERMINATE_TRANSMITTANCE:
+            alive = t_img >= TERMINATE_TRANSMITTANCE
         if keep_tape:
-            dx = pix % width - proj.mean2d[gi, 0]
-            dy = pix // width - proj.mean2d[gi, 1]
-            parts.append((pix, gi, dx, dy, alpha, t_before, live))
+            dx = pix_x[pix] - mx[gi]
+            dy = pix_y[pix] - my[gi]
+            parts.append((pix.astype(np.int32), gi.astype(np.int32), dx, dy,
+                          alpha, t_before, live))
             total += len(pix)
             offsets.append(total)
 

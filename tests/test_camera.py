@@ -36,6 +36,34 @@ class TestTurntable:
         np.testing.assert_allclose(cam.R @ cam.R.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(cam.R) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, -2.0, 0.5),
+                                      (0.1, 0.2, -3.0), (-0.3, 0.0, 0.25)])
+    @pytest.mark.parametrize("height", [0.0, 1.2, -0.7])
+    def test_pose_matches_the_np_cross_formula(self, axis, height):
+        traj = TurntableTrajectory(camera=template(), radius=3.3, height=height,
+                                   angular_rate=0.9, span=7.0, axis=axis,
+                                   center=(0.2, -0.1, 0.4), phase=0.3)
+        for t in (0.0, 1.7, 4.45, 7.0):
+            cam = traj.pose_at(t)
+            # the same pose with np.cross
+            a = np.asarray(axis) / np.linalg.norm(axis)
+            unit = a / np.linalg.norm(a)
+            helper = np.array([0.0, 0.0, 1.0]) if abs(unit[2]) < 0.9 else np.array([1.0, 0, 0])
+            e1 = np.cross(helper, unit)
+            e1 = e1 / np.linalg.norm(e1)
+            e2 = np.cross(unit, e1)
+            theta = traj.phase + traj.angular_rate * t
+            center = np.asarray(traj.center)
+            eye = center + traj.radius * (np.cos(theta) * e1 + np.sin(theta) * e2) \
+                + height * a
+            forward = center - eye
+            forward = forward / np.linalg.norm(forward)
+            right = np.cross(forward, a)
+            right = right / np.linalg.norm(right)
+            R = np.stack([right, np.cross(forward, right), forward])
+            np.testing.assert_array_equal(cam.R, R)
+            np.testing.assert_array_equal(cam.t, -R @ eye)
+
     def test_clamped_beyond_span(self):
         traj = self.make()
         a = pose_at_time(traj, 11.5)

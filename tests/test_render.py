@@ -90,17 +90,19 @@ def scenes_and_cameras(draw, max_n=8):
 
 def rect_footprints(proj, lo, hi, width):
     """Reference expansion: every pixel of each Gaussian's bounding rectangle,
-    Gaussian-major, row-major, with q in the renderer's row form, evaluated
-    the same way."""
+    Gaussian-major, row-major, with log-alpha in the renderer's row form,
+    evaluated the same way."""
     parts = []
+    log_ab = np.log(proj.alpha_base[lo:hi])
     for g in range(lo, hi):
         x0, x1, y0, y1 = proj.rect[g]
         (a, b), (_, c) = proj.cov2d[g]
-        ys, xs = (v.ravel() for v in np.mgrid[y0:y1 + 1, x0:x1 + 1].astype(np.int32))
+        ys, xs = (v.ravel() for v in np.mgrid[y0:y1 + 1, x0:x1 + 1].astype(np.intp))
         dy = ys - proj.mean2d[g, 1]
         t = xs - (proj.mean2d[g, 0] + b / c * dy)
-        q = c / (a * c - b * b) * (t * t) + dy * dy / c
-        parts.append((np.full(xs.size, g, dtype=np.int32), ys * np.int32(width) + xs, q))
+        row = log_ab[g - lo] - 0.5 * (dy * dy / c)
+        parts.append((np.full(xs.size, g, dtype=np.intp), ys * width + xs,
+                      row - 0.5 * c / (a * c - b * b) * (t * t)))
     return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
 
 
@@ -117,16 +119,19 @@ def quadratic_form(proj, gi, pix, width):
 def assert_same_survivors(proj, lo, hi, width):
     tight = R._chunk_footprints(proj, lo, hi, width)
     ref = rect_footprints(proj, lo, hi, width)
-    gi, pix, q = tight
-    assert (gi.dtype, pix.dtype, q.dtype) == (np.int32, np.int32, np.float64)
+    gi, pix, log_alpha = tight
+    assert (gi.dtype, pix.dtype, log_alpha.dtype) == (np.intp, np.intp, np.float64)
     px, py = pix % width, pix // width
     rect = proj.rect[gi]
     assert np.all((rect[:, 0] <= px) & (px <= rect[:, 1])
                   & (rect[:, 2] <= py) & (py <= rect[:, 3]))
-    # the row form is the Mahalanobis distance
+    # the row form is ln alpha_base less half the Mahalanobis distance
     quad, scale = quadratic_form(proj, gi, pix, width)
-    assert np.all(np.abs(q - quad) <= 1e-9 * scale + 1e-12)
-    keep_t, keep_r = q <= proj.q_cut[gi], ref[2] <= proj.q_cut[ref[0]]
+    log_ab = np.log(proj.alpha_base[gi])
+    assert np.all(np.abs(log_alpha - (log_ab - 0.5 * quad))
+                  <= 1e-9 * scale + 1e-12 * (1.0 + np.abs(log_ab)))
+    keep_t = log_alpha >= proj.log_alpha_min
+    keep_r = ref[2] >= proj.log_alpha_min
     for t, r in zip(tight, ref):
         np.testing.assert_array_equal(t[keep_t], r[keep_r])
     return len(gi), len(ref[0])
@@ -141,7 +146,7 @@ class TestProjection:
         np.testing.assert_array_equal(proj.orig_idx, [0])
         np.testing.assert_allclose(proj.mean2d[0], [8.0, 8.0])
         np.testing.assert_allclose(proj.jac[0], [[50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
-        np.testing.assert_allclose(proj.sigma[0], np.eye(3))
+        np.testing.assert_allclose(proj.rs[0] @ proj.rs[0].T, np.eye(3))
         np.testing.assert_allclose(proj.cov2d[0], np.diag([2500.0 + COV2D_DILATION] * 2))
         assert proj.depth[0] == 2.0
 
@@ -149,6 +154,26 @@ class TestProjection:
         scene = single_gaussian_scene(mean=(0.0, 0.0, 3.7), logit=0.0, scale=0.1)
         cam = CameraModel(fx=55.0, fy=44.0, cx=3.25, cy=9.5, width=16, height=16)
         np.testing.assert_allclose(_project(scene, cam).mean2d, [[3.25, 9.5]])
+
+    def test_cov2d_is_a_sigma_a_transposed(self, rng):
+        # random rotations and scales spread over three orders of magnitude
+        n = 64
+        means = np.column_stack([rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(2.0, 6.0, n)])
+        scene = GaussianScene(means, rng.normal(size=(n, 4)),
+                              rng.uniform(np.log(1e-3), np.log(1.0), (n, 3)),
+                              np.zeros(n), np.ones(n))
+        cam = CameraModel.looking_at(np.array([0.3, -0.2, -0.5]), np.array([0.0, 0.0, 4.0]),
+                                     np.array([0.0, -1.0, 0.0]), 60.0, 80.0, 7.5, 7.5, 16, 16)
+        proj = _project(scene, cam)
+        assert len(proj.orig_idx) > n // 2
+        cov = proj.cov2d
+        np.testing.assert_array_equal(cov, np.swapaxes(cov, 1, 2))
+        A = proj.jac_r
+        sigma = np.einsum("mik,mjk->mij", proj.rs, proj.rs)
+        want = np.einsum("mij,mjk,mlk->mil", A, sigma, A) + COV2D_DILATION * np.eye(2)
+        # each entry within rounding of its sum of |terms|
+        bound = np.einsum("mij,mjk,mlk->mil", np.abs(A), np.abs(sigma), np.abs(A))
+        assert np.all(np.abs(cov - want) <= 1e-14 * bound + 1e-15)
 
     def test_behind_camera_culled(self):
         scene = single_gaussian_scene(mean=(0.0, 0.0, -1.0), logit=0.0, scale=1.0)
@@ -283,6 +308,7 @@ class TestRenderForward:
         scene, cam = view
         out = render(scene, cam, keep_tape=True)
         tape = out.tape
+        assert (tape.pix.dtype, tape.gi.dtype) == (np.int32, np.int32)
         # the tape keeps each pair's offset from its Gaussian's mean
         mean = tape.proj.mean2d[tape.gi]
         np.testing.assert_array_equal(tape.dx, tape.pix % cam.width - mean[:, 0])
@@ -294,6 +320,18 @@ class TestRenderForward:
         np.testing.assert_allclose(
             out.image.ravel(), contributions + scene.background * tape.t_final,
             rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(scenes_and_cameras(max_n=30))
+    def test_taped_render_matches_untaped(self, view):
+        assert_taped_matches_untaped(*view)
+
+    @pytest.mark.parametrize("alpha_min", [ALPHA_MIN, TRAIN_ALPHA_MIN])
+    def test_taped_render_matches_untaped_past_termination(self, alpha_min):
+        for seed in range(3):
+            scene = multi_chunk_scene(np.random.default_rng(seed))
+            out = assert_taped_matches_untaped(scene, small_camera(), alpha_min)
+            assert not out.tape.live.all()
 
     @settings(max_examples=10, deadline=None, database=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 200))
@@ -351,6 +389,16 @@ class TestRenderForward:
         scene = GaussianScene.from_gaussians(gs, background=0.0)
         cam = CameraModel(fx=40.0, fy=40.0, cx=8.0, cy=8.0, width=16, height=16)
         assert render(scene, cam).image[8, 8] == pytest.approx(0.5, abs=1e-6)
+
+
+def assert_taped_matches_untaped(scene, cam, alpha_min=ALPHA_MIN):
+    """Image, final transmittance and depth of a taped render equal the
+    untaped render's bit for bit; returns the taped output."""
+    taped = render(scene, cam, keep_tape=True, compute_depth=True, alpha_min=alpha_min)
+    plain = render(scene, cam, compute_depth=True, alpha_min=alpha_min)
+    for name in ("image", "final_transmittance", "depth"):
+        np.testing.assert_array_equal(getattr(taped, name), getattr(plain, name))
+    return taped
 
 
 class TestRenderDepth:

@@ -16,8 +16,8 @@ def world_covariance(quats, log_scales):
     scene = GaussianScene(np.tile([0.0, 0.0, 5.0], (n, 1)), q, ls, np.zeros(n), np.ones(n))
     proj = _project(scene, CameraModel(10.0, 10.0, 7.5, 7.5, 16, 16))
     assert len(proj.orig_idx) == n
-    sigma = np.empty_like(proj.sigma)
-    sigma[proj.orig_idx] = proj.sigma
+    sigma = np.empty((n, 3, 3))
+    sigma[proj.orig_idx] = np.einsum("mik,mjk->mij", proj.rs, proj.rs)
     return sigma if np.ndim(quats) > 1 else sigma[0]
 
 
