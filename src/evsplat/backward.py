@@ -17,12 +17,14 @@ last pair, and each pair's parenthesised suffix is head - incl: one gather
 per pair.
 
 Each pair then contributes u = g * alpha * dI/dalpha, g its pixel's
-upstream, and, with d = pixel - mean2d and alpha = alpha_base exp(-q/2),
-q = d^T Minv d, only seven per-Gaussian moments are summed over pairs:
-sum g w, sum u, sum u d_x, sum u d_y, sum u d_x^2, sum u d_x d_y and
-sum u d_y^2.  The per-Gaussian constants come out of the sums afterwards:
-dL/dalpha_base = sum u / alpha_base, dL/dmean2d = Minv (sum u d), and
-dL/dMinv = -1/2 sum u d d^T.  Screen-space positional gradient magnitudes
+upstream.  With alpha = alpha_base exp(-q/2), q = d^T Minv d and
+d = pixel - mean2d, rebuilt for each live pair from its pixel's coordinates
+and its Gaussian's mean through the tape's two ids, only seven
+per-Gaussian moments are summed over pairs: sum g w, sum u, sum u d_x,
+sum u d_y, sum u d_x^2, sum u d_x d_y and sum u d_y^2.  The per-Gaussian
+constants come out of the sums afterwards: dL/dalpha_base =
+sum u / alpha_base, dL/dmean2d = Minv (sum u d), and dL/dMinv =
+-1/2 sum u d d^T.  Screen-space positional gradient magnitudes
 and touch flags (any live pair) are kept for adaptive density control.
 """
 
@@ -105,11 +107,12 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
     buf = GradientBuffer.zeros(len(scene))
     proj = tape.proj
     m = len(proj.orig_idx)
-    if m == 0 or len(tape.pix) == 0:
-        return buf
 
     colors = scene.intensities[proj.orig_idx]
     ups_flat = upstream.reshape(-1)
+    # gathered per live pair for d = pixel - mean2d
+    pix_y, pix_x = np.divmod(np.arange(tape.width * tape.height), tape.width)
+    mx, my = proj.mean2d[:, 0].copy(), proj.mean2d[:, 1].copy()
 
     # per-Gaussian moments of the per-pair terms, summed over the chunks
     sum_gw, sum_u, sum_udx, sum_udy, sum_udxx, sum_udxy, sum_udyy = np.zeros((7, m))
@@ -122,14 +125,12 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
         sl = slice(int(offs[c]), int(offs[c + 1]))
         live = tape.live[sl]
         # dead pairs contribute nothing and receive no gradient
-        parts = (tape.pix[sl], tape.gi[sl], tape.dx[sl], tape.dy[sl],
-                 tape.alpha[sl], tape.t_before[sl])
+        parts = (tape.pix[sl], tape.gi[sl], tape.alpha[sl], tape.t_before[sl])
         if not live.all():
             parts = tuple(v[live] for v in parts)
-        pix, gi, dx, dy, alpha, t_before = parts
-        # intp indices gather and bincount faster than the tape's int32
-        pix = pix.astype(np.intp)
-        gi = gi.astype(np.intp)
+        pix, gi, alpha, t_before = parts
+        dx = pix_x[pix] - mx[gi]
+        dy = pix_y[pix] - my[gi]
 
         w = alpha * t_before
         cw = w * colors[gi]

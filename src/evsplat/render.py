@@ -22,10 +22,9 @@ test then decides which pairs are composited.  Each pair's log-alpha,
 ln alpha_base - q/2, comes from terms of its row (see _chunk_footprints), so
 the cutoff is one compare with ln alpha_min and alpha one exp, with no
 per-pair lookup of a Gaussian's terms.  Footprint indices are intp, which
-numpy gathers with no conversion; a taped render casts them to int32 once
-per chunk.  The 2D covariance is T T^T plus dilation, with T = A (R S) and A
-the perspective Jacobian times the camera rotation, built entry by entry so
-that it is exactly symmetric.
+numpy gathers with no conversion.  The 2D covariance is T T^T plus
+dilation, with T = A (R S) and A the perspective Jacobian times the camera
+rotation, built entry by entry so that it is exactly symmetric.
 
 Implementation: flat arrays over (gaussian, pixel-in-footprint) pairs,
 processed in depth-ordered chunks of consecutive Gaussians whose estimated
@@ -43,8 +42,10 @@ order by bincount, as reduceat's pairwise sums would not be, so a
 per-pixel replay of the tape gives each chunk's entering transmittance bit
 for bit.  Once some pixel has terminated, each later chunk drops the pairs
 whose pixel has terminated, with those below the cutoff, before any
-transcendental work.  Only a taped render keeps each pair's offset from its
-Gaussian's mean.
+transcendental work.  A taped render keeps each pair's intp pixel and
+Gaussian ids, alpha, transmittance in front of it and live flag as the
+compositor computed them; the adjoint rebuilds the pair's offset from its
+Gaussian's mean from the two ids.
 
 Importing the module sets two process-wide options of the C library's heap
 where it has mallopt (glibc): blocks up to 32 MiB come from the heap rather
@@ -117,13 +118,11 @@ class RenderTape:
 
     proj: Projection
     chunk_offsets: np.ndarray   # (n_chunks + 1,) element offsets
-    pix: np.ndarray             # (K,) int32 flat pixel ids
-    gi: np.ndarray              # (K,) int32 index into proj arrays
-    dx: np.ndarray
-    dy: np.ndarray
-    alpha: np.ndarray
-    t_before: np.ndarray
-    live: np.ndarray            # (K,) bool
+    pix: np.ndarray             # (K,) intp flat pixel ids
+    gi: np.ndarray              # (K,) intp index into proj arrays
+    alpha: np.ndarray           # (K,)
+    t_before: np.ndarray        # (K,) transmittance in front of the pair
+    live: np.ndarray            # (K,) bool, t_before >= TERMINATE_TRANSMITTANCE
     t_final: np.ndarray         # (P,) per-pixel final transmittance
     width: int
     height: int
@@ -297,7 +296,9 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
                extra_weights: np.ndarray | None = None):
     """Chunked front-to-back compositor.
 
-    Returns (image, t_final_flat, extra_image, tape_parts).
+    Returns (image, final_transmittance, extra_image, tape): the images and the
+    final transmittance as (height, width), extra_image None without
+    extra_weights, and the RenderTape only when keep_tape.
     """
     pcount = width * height
     t_img = np.ones(pcount)
@@ -305,14 +306,10 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
     extra_acc = np.zeros(pcount) if extra_weights is not None else None
     # per pixel t_img >= TERMINATE_TRANSMITTANCE, once some pixel has terminated
     alive = None
-
-    parts = [] if keep_tape else None
+    # pix, gi, alpha, t_before, live per chunk, after one empty record
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), np.zeros(0),
+              np.zeros(0, bool))]
     offsets = [0]
-    total = 0
-    if keep_tape:
-        pix_x = np.arange(pcount) % width
-        pix_y = np.arange(pcount) // width
-        mx, my = proj.mean2d[:, 0].copy(), proj.mean2d[:, 1].copy()
 
     for lo, hi in _chunk_bounds(proj):
         gi, pix, log_alpha = _chunk_footprints(proj, lo, hi, width)
@@ -360,26 +357,16 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
         if alive is not None or t_seg.min() < TERMINATE_TRANSMITTANCE:
             alive = t_img >= TERMINATE_TRANSMITTANCE
         if keep_tape:
-            dx = pix_x[pix] - mx[gi]
-            dy = pix_y[pix] - my[gi]
-            parts.append((pix.astype(np.int32), gi.astype(np.int32), dx, dy,
-                          alpha, t_before, live))
-            total += len(pix)
-            offsets.append(total)
+            parts.append((pix, gi, alpha, t_before, live))
+            offsets.append(offsets[-1] + len(pix))
 
     image = (image_acc + background_value * t_img).reshape(height, width)
     extra_image = extra_acc.reshape(height, width) if extra_acc is not None else None
-
-    tape_parts = None
+    tape = None
     if keep_tape:
-        if parts:
-            cat = [np.concatenate([p[i] for p in parts]) for i in range(7)]
-        else:
-            cat = [np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32),
-                   np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0),
-                   np.zeros(0, dtype=bool)]
-        tape_parts = (np.asarray(offsets, dtype=np.int64), *cat, t_img)
-    return image, t_img.reshape(height, width), extra_image, tape_parts
+        tape = RenderTape(proj, np.asarray(offsets, dtype=np.int64),
+                          *(np.concatenate(v) for v in zip(*parts)), t_img, width, height)
+    return image, t_img.reshape(height, width), extra_image, tape
 
 
 def render(scene: GaussianScene, cam: CameraModel, *,
@@ -397,7 +384,5 @@ def render(scene: GaussianScene, cam: CameraModel, *,
     w, h = cam.width, cam.height
     colors = scene.intensities[proj.orig_idx]
     depths = proj.depth if compute_depth else None
-    image, t_final, depth_img, tape_parts = _composite(
-        proj, colors, float(scene.background), w, h, keep_tape, extra_weights=depths)
-    tape = RenderTape(proj, *tape_parts, w, h) if keep_tape else None
-    return RenderOutput(image, t_final, depth_img, tape)
+    return RenderOutput(*_composite(proj, colors, float(scene.background), w, h,
+                                    keep_tape, extra_weights=depths))

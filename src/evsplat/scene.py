@@ -114,6 +114,9 @@ def save_scene(path: str, scene: GaussianScene) -> None:
 
 
 def load_scene(path: str) -> GaussianScene:
+    """Read an EGS1 checkpoint.  Raises ValueError on a bad header or a short
+    body, and names the first record whose quaternion is zero or whose
+    parameters are not finite."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -126,17 +129,17 @@ def load_scene(path: str) -> GaussianScene:
         if len(tail) != 4:
             raise ValueError("missing background value")
     block = np.frombuffer(data, dtype="<f4").reshape(n, _FLOATS_PER_GAUSSIAN).astype(np.float64)
-    quats = block[:, 3:7]
+    params = (block[:, 0:3], block[:, 3:7], block[:, 7:10], block[:, 10], block[:, 11])
+    quats = params[1]
     bad = np.flatnonzero(~np.isfinite(quats).all(axis=1) | ~quats.any(axis=1))
     if bad.size:
         raise ValueError(f"checkpoint record {bad[0]}: quaternion {quats[bad[0]].tolist()} "
                          "is zero or not finite")
+    for name, values in zip(PARAMS, params):
+        finite = np.isfinite(values)
+        bad = np.flatnonzero(~(finite.all(axis=1) if finite.ndim > 1 else finite))
+        if bad.size:
+            raise ValueError(f"checkpoint record {bad[0]}: {name} "
+                             f"{values[bad[0]].tolist()} is not finite")
     background = float(np.frombuffer(tail, dtype="<f4")[0])
-    return GaussianScene(
-        means=block[:, 0:3],
-        quats=quats,
-        log_scales=block[:, 7:10],
-        opacity_logits=block[:, 10],
-        intensities=block[:, 11],
-        background=background,
-    )
+    return GaussianScene(*params, background=background)

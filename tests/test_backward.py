@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import random_scene, small_camera
+from conftest import empty_scene, random_scene, small_camera
 
 from evsplat.backward import GradientBuffer, render_backward
 from evsplat.render import render
@@ -87,6 +89,29 @@ class TestGradientCheck:
         scene = random_scene(rng, 4)
         with pytest.raises(ValueError):
             render_backward(scene, small_camera(), np.zeros((8, 8)))
+
+    @pytest.mark.parametrize("case", ["empty", "behind_camera", "no_pair_passes_cutoff"])
+    def test_scene_without_pairs_gets_zero_buffer(self, rng, case):
+        def gaussian(z, log_scale, logit):
+            return Gaussian3D(np.array([0.0, 0.0, z]), np.array([1.0, 0, 0, 0]),
+                              np.full(3, log_scale), logit, 0.6)
+
+        # no_pair_passes_cutoff: the Gaussian projects between four pixel
+        # centres, q = 1.67 at each, with q_cut = 1.2 (alpha_base =
+        # alpha_min e^0.6), so its rect holds pixels but none passes the cutoff
+        scene = {"empty": empty_scene(0.3),
+                 "behind_camera": GaussianScene.from_gaussians(
+                     [gaussian(-2.0, -2.0, 3.0), gaussian(0.005, -2.0, 3.0)], 0.3),
+                 "no_pair_passes_cutoff": GaussianScene.from_gaussians(
+                     [gaussian(2.0, -9.0, np.log(1e-12) + 0.6)], 0.3)}[case]
+        cam = small_camera()
+        tape = render(scene, cam, keep_tape=True).tape
+        assert len(tape.pix) == 0
+        assert len(tape.proj.orig_idx) == (case == "no_pair_passes_cutoff")
+        buf = render_backward(scene, cam, rng.normal(size=(16, 16)), tape)
+        zeros = GradientBuffer.zeros(len(scene))
+        for f in dataclasses.fields(GradientBuffer):
+            assert np.array_equal(getattr(buf, f.name), getattr(zeros, f.name)), f.name
 
     def test_tape_and_recompute_agree(self, rng):
         scene = random_scene(rng, 10)

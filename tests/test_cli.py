@@ -258,6 +258,18 @@ class TestPipeline:
         assert "record 1" in capsys.readouterr().err
         assert os.listdir(str(tmp_path / "o")) == []
 
+    @pytest.mark.parametrize("sub", ["render", "eval"])
+    def test_nonfinite_intensity_checkpoint_exits_one(self, sub, tiny_dataset, tmp_path, capsys):
+        from evsplat.scene import load_scene, save_scene
+        scene = load_scene(os.path.join(tiny_dataset, "gt_scene.egs"))
+        scene.intensities[1] = np.nan
+        ckpt = str(tmp_path / "nan.egs")
+        save_scene(ckpt, scene)
+        argv = [sub, "--data", tiny_dataset, "--checkpoint", ckpt, "--out", str(tmp_path / "o")]
+        assert run(parse(argv + (["--frame", "0"] if sub == "render" else []))) == 1
+        assert "record 1: intensities" in capsys.readouterr().err
+        assert os.listdir(str(tmp_path / "o")) == []
+
     def test_nonfinite_step_exits_one(self, tiny_dataset, tmp_path, capsys, monkeypatch):
         from evsplat import training
         step = training.adam_step

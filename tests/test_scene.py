@@ -129,6 +129,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="record 2: quaternion"):
             load_scene(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["means", "log_scales", "opacity_logits", "intensities"])
+    def test_nonfinite_parameter_rejected(self, rng, tmp_path, name, value):
+        scene = self._scene(rng, n=4)
+        getattr(scene, name).reshape(4, -1)[2, -1] = value
+        path = str(tmp_path / "bad_value.egs")
+        save_scene(path, scene)
+        with pytest.raises(ValueError, match=f"record 2: {name} .* is not finite"):
+            load_scene(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "bad.egs")
         with open(path, "wb") as f:
