@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraModel
-from .render import ALPHA_MAX, RenderTape, render
+from .render import ALPHA_MAX, RenderTape, _pixel_segments, render
 from .scene import PARAMS, GaussianScene
 
 
@@ -63,14 +63,6 @@ class GradientBuffer:
         self.pos_grad_norm += abs(weight) * other.pos_grad_norm
         self.touched += other.touched
         return self
-
-
-def _segment_first(sorted_keys: np.ndarray) -> np.ndarray:
-    first = np.empty(len(sorted_keys), dtype=bool)
-    if len(sorted_keys):
-        first[0] = True
-        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return first
 
 
 def _quat_rotation_adjoint(g_r: np.ndarray, quats: np.ndarray) -> np.ndarray:
@@ -111,7 +103,8 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
     colors = scene.intensities[proj.orig_idx]
     ups_flat = upstream.reshape(-1)
     # gathered per live pair for d = pixel - mean2d
-    pix_y, pix_x = np.divmod(np.arange(tape.width * tape.height), tape.width)
+    pcount = cam.width * cam.height
+    pix_y, pix_x = np.divmod(np.arange(pcount), cam.width)
     mx, my = proj.mean2d[:, 0].copy(), proj.mean2d[:, 1].copy()
 
     # per-Gaussian moments of the per-pair terms, summed over the chunks
@@ -135,9 +128,8 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
         w = alpha * t_before
         cw = w * colors[gi]
         incl = np.cumsum(cw)
-        starts = np.flatnonzero(_segment_first(pix))
-        ends = np.append(starts[1:], len(pix)) - 1
-        seg_pix = pix[starts]
+        seg_pix, seg_len, starts = _pixel_segments(pix, pcount)
+        ends = starts + seg_len - 1
         # later becomes the head of each pixel's suffix in this chunk; the
         # suffix after a pair, background term included, is head - incl
         later[seg_pix] += incl[ends]
@@ -177,7 +169,7 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
     g_cov2d = -(minv @ g_m @ minv)
 
     # projection chain, through the intermediates _project kept
-    z = proj.depth
+    z = proj.p_cam[:, 2]
     x = proj.p_cam[:, 0]
     y = proj.p_cam[:, 1]
     # cov2d = T T^T + dilation with T = A rs and A = J R_cam, so

@@ -200,12 +200,16 @@ def read_ply_points(path: str) -> PointCloud:
     for need in ("x", "y", "z"):
         if need not in props:
             raise FormatError(f"missing vertex property {need!r}")
-    rows = [ln.split() for ln in lines[body_at:body_at + n_vertex] if ln.strip()]
+    rows = [(i + 1, ln.split()) for i, ln in
+            enumerate(lines[body_at:body_at + n_vertex], start=body_at) if ln.strip()]
     if len(rows) < n_vertex:
         raise FormatError(f"header claims {n_vertex} vertices, found {len(rows)}")
-    data = np.array([[float(v) for v in r[:len(props)]] for r in rows], dtype=np.float64)
-    if data.shape[1] < len(props):
-        raise FormatError("vertex row with too few values")
+    for line_no, r in rows:
+        if len(r) < len(props):
+            raise FormatError(f"vertex row at line {line_no} has {len(r)} values "
+                              f"for {len(props)} properties")
+    data = np.array([[float(v) for v in r[:len(props)]] for _, r in rows],
+                    dtype=np.float64).reshape(-1, len(props))
     cols = {name: data[:, i] for i, name in enumerate(props)}
     pts = np.column_stack([cols["x"], cols["y"], cols["z"]])
     inten = cols.get("intensity")
@@ -491,10 +495,9 @@ def generate_synthetic_scene(spec: SyntheticSceneSpec,
     """Render ground truth along the turntable, simulate motion events over the
     full rotation, and map each stop's exposure IPE times to a frame.
 
-    The IPE times come from the exposure simulator's first crossings
-    (`simulate_ipe`); the full exposure-event stream is never built, since
-    the frames use only each pixel's initial positive event.  The stops'
-    exposure events are not part of the dataset."""
+    Each stop's IPE times come from `simulate_ipe`, since the frames use
+    only each pixel's initial positive event; the stops' exposure events are
+    neither built nor part of the dataset."""
     rng = rng or np.random.default_rng(spec.seed)
     w, h = spec.resolution
     gaussians = list(spec.gaussians) if spec.gaussians else _default_toy_gaussians()
@@ -585,22 +588,35 @@ class LoadedDataset:
 
 
 def load_dataset(root: str, with_events: bool = True) -> LoadedDataset:
-    """Read a dataset directory; the event stream only ``with_events``."""
+    """Read a dataset directory; the event stream only ``with_events``.
+    Every image and the event stream must have the manifest's resolution."""
     manifest = read_manifest(os.path.join(root, "manifest.json"))
+    w, h = manifest.resolution
+
+    def check_size(name, size):
+        if tuple(size) != (w, h):
+            raise FormatError(f"{name!r} is {size[0]}x{size[1]}, but the manifest's "
+                              f"resolution is {w}x{h}")
+
+    def image(name):
+        img = read_pnm(os.path.join(root, name))
+        check_size(name, img.shape[::-1])
+        return img
+
     events = None
     if with_events and manifest.event_file:
-        events = read_events(os.path.join(root, manifest.event_file))
+        events = read_events(os.path.join(root, manifest.event_file), manifest.resolution)
+        check_size(manifest.event_file, events.resolution)
     frames = []
     for entry in manifest.exposure_frames:
-        img = read_pnm(os.path.join(root, entry["image"]))
+        img = image(entry["image"])
         mask = np.ones_like(img, dtype=bool)
         if entry.get("mask"):
-            mask = read_pnm(os.path.join(root, entry["mask"])) > 0.5
+            mask = image(entry["mask"]) > 0.5
             if not mask.any():
                 raise FormatError(f"exposure mask {entry['mask']!r} selects no pixel")
         frames.append(ExposureFrame(img, mask, pose_id=entry["pose_id"]))
-    gt = {e["pose_id"]: read_pnm(os.path.join(root, e["image"]))
-          for e in manifest.gt_frames}
+    gt = {e["pose_id"]: image(e["image"]) for e in manifest.gt_frames}
     cloud_path = os.path.join(root, "init_points.ply")
     init_cloud = read_ply_points(cloud_path) if os.path.exists(cloud_path) else None
     return LoadedDataset(manifest, events, frames, gt, init_cloud)

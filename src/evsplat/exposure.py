@@ -6,6 +6,10 @@ and fires an event at every crossing of the threshold charge C.  The first
 positive event's timestamp t* encodes intensity as C / h(t*); dividing by the
 frame maximum yields a normalized grayscale image whose scale is independent
 of global illumination.
+
+Frames need only that initial positive event (IPE): `extract_ipe` reads it
+from a recorded event stream, and `simulate_ipe` simulates it directly,
+without building the stream of later crossings.
 """
 
 from __future__ import annotations
@@ -149,107 +153,45 @@ def map_temporal_to_intensity(
 _EPS = 1e-9
 
 
-def _ramp(img, profile: TransmittanceProfile, levels: int):
-    """Flat intensities, step length and per-step midpoint transmittance."""
-    img = np.asarray(img, dtype=np.float64)
-    if np.any(img < 0):
-        raise ValueError("intensity values must be >= 0")
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
-    dt = profile.t_end / levels
-    mids = transmittance_at(profile, (np.arange(levels) + 0.5) * dt)
-    return img.reshape(-1), dt, mids
-
-
-def _charge_step(charge, intensity, tr, dt, c):
-    """One ramp step: the rate, the charge at its end and the number of
-    multiples of c that charge has reached."""
-    rate = intensity * tr
-    new_charge = charge + rate * dt
-    return rate, new_charge, np.floor(new_charge / c + _EPS)
-
-
-def _crossing_us(j, dt, level, charge, rate):
-    """Timestamp in µs (>= 1) at which charge reaches level within step j."""
-    tt = j * dt + np.maximum(level - charge, 0.0) / rate
-    return np.maximum(np.rint(tt * 1e6).astype(np.int64), 1)
-
-
-def simulate_exposure_events(
-    img: IntensityImage,
-    profile: TransmittanceProfile,
-    cfg: EventModelConfig,
-    levels: int,
-) -> EventStream:
-    """Forward exposure-event simulation over the aperture ramp [0, t_end].
-
-    The ramp is discretized into `levels` steps; within each step the
-    transmittance is held at its midpoint value, so the accumulated charge
-    I * h(t) is piecewise linear and threshold crossings invert exactly
-    within the step.  Every crossing of a multiple of C is emitted (the IPE
-    is the first); all polarities are positive.  Pixels with I = 0 emit
-    nothing.
-    """
-    h_px, w_px = np.shape(img)
-    intensity, dt, mids = _ramp(img, profile, levels)
-    c = cfg.contrast_threshold
-    charge = np.zeros_like(intensity)
-    base = np.zeros_like(intensity)   # multiples of c reached so far
-    xs, ys, ts = [], [], []
-    for j in range(levels):
-        rate, new_charge, reached = _charge_step(charge, intensity, mids[j], dt, c)
-        n = (reached - base).astype(np.int64)
-        active = np.flatnonzero(n > 0)
-        if active.size:
-            counts = n[active]
-            rep = np.repeat(active, counts)
-            offs = np.concatenate(([0], np.cumsum(counts)))[:-1]
-            kk = np.arange(counts.sum(), dtype=np.int64) - np.repeat(offs, counts) + 1
-            level = (base[rep] + kk) * c
-            xs.append((rep % w_px).astype(np.int32))
-            ys.append((rep // w_px).astype(np.int32))
-            ts.append(_crossing_us(j, dt, level, charge[rep], rate[rep]))
-        charge, base = new_charge, reached
-
-    if not ts:
-        return EventStream.empty((w_px, h_px))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    t = np.concatenate(ts)
-    order = np.argsort(t, kind="stable")
-    p = np.ones(len(t), dtype=np.int8)
-    return EventStream.create((w_px, h_px), x[order], y[order], t[order], p)
-
-
 def simulate_ipe(
     img: IntensityImage,
     profile: TransmittanceProfile,
     cfg: EventModelConfig,
     levels: int,
 ) -> np.ndarray:
-    """(H, W) IPE times in seconds of the exposure simulation; NaN where a
-    pixel never fires.
+    """(H, W) time in seconds of each pixel's initial positive exposure
+    event; NaN where a pixel never fires.
 
-    Equal to ``extract_ipe(simulate_exposure_events(...))``: the same charge
-    steps and crossing times, but each pixel is dropped once it has fired,
+    The ramp [0, t_end] is discretized into `levels` steps; within each step
+    the transmittance is held at its midpoint value, so the accumulated
+    charge I * h(t) is piecewise linear and the first crossing of the
+    threshold C inverts exactly within its step, rounded to whole µs (>= 1).
+    Pixels with I = 0 never fire.  Each pixel is dropped once it has fired,
     so only first crossings are computed and no event stream is built.
     """
-    intensity, dt, mids = _ramp(img, profile, levels)
+    flat = np.asarray(img, dtype=np.float64).reshape(-1)
+    if np.any(flat < 0):
+        raise ValueError("intensity values must be >= 0")
+    if levels < 2:
+        raise ValueError("levels must be >= 2")
+    dt = profile.t_end / levels
+    mids = transmittance_at(profile, (np.arange(levels) + 0.5) * dt)
     c = cfg.contrast_threshold
-    t_star = np.full(intensity.shape, np.nan)
-    pix = np.flatnonzero(intensity > 0)
-    intensity = intensity[pix]
+    t_star = np.full(flat.shape, np.nan)
+    pix = np.flatnonzero(flat > 0)
+    intensity = flat[pix]
     charge = np.zeros_like(intensity)
     for j in range(levels):
         if not pix.size:
             break
-        rate, new_charge, reached = _charge_step(charge, intensity, mids[j], dt, c)
+        rate = intensity * mids[j]
+        new_charge = charge + rate * dt
         # an unfired pixel has reached no multiple of c, so its first crossing is c
-        fired = reached > 0
+        fired = np.floor(new_charge / c + _EPS) > 0
         if fired.any():
-            t_star[pix[fired]] = _crossing_us(j, dt, c, charge[fired], rate[fired]) * 1e-6
+            tt = j * dt + np.maximum(c - charge[fired], 0.0) / rate[fired]
+            t_star[pix[fired]] = np.maximum(np.rint(tt * 1e6).astype(np.int64), 1) * 1e-6
             left = ~fired
             pix, intensity, new_charge = pix[left], intensity[left], new_charge[left]
         charge = new_charge
     return t_star.reshape(np.shape(img))
-

@@ -94,7 +94,7 @@ class Projection:
     order, with the intermediates of the EWA projection the adjoint reads."""
 
     orig_idx: np.ndarray    # (M,) indices into the scene
-    p_cam: np.ndarray       # (M, 3)
+    p_cam: np.ndarray       # (M, 3); column 2 is the depth
     mean2d: np.ndarray      # (M, 2)
     jac: np.ndarray         # (M, 2, 3) perspective Jacobian J at p_cam
     jac_r: np.ndarray       # (M, 2, 3) A = J R, camera rotation R
@@ -104,7 +104,6 @@ class Projection:
     jac_rs: np.ndarray      # (M, 2, 3) T = A rs, so A sigma A^T = T T^T
     cov2d: np.ndarray       # (M, 2, 2) T T^T after dilation
     cov2d_inv: np.ndarray   # (M, 2, 2)
-    depth: np.ndarray       # (M,) camera z
     alpha_base: np.ndarray  # (M,) clipped sigmoid of opacity logit
     q_cut: np.ndarray       # (M,) Mahalanobis-squared footprint cutoff
     log_alpha_min: float    # ln alpha_min, the pairs' cutoff
@@ -124,14 +123,11 @@ class RenderTape:
     t_before: np.ndarray        # (K,) transmittance in front of the pair
     live: np.ndarray            # (K,) bool, t_before >= TERMINATE_TRANSMITTANCE
     t_final: np.ndarray         # (P,) per-pixel final transmittance
-    width: int
-    height: int
 
 
 @dataclass
 class RenderOutput:
     image: np.ndarray
-    final_transmittance: np.ndarray
     depth: np.ndarray | None = None
     tape: RenderTape | None = None
 
@@ -206,7 +202,6 @@ def _project(scene: GaussianScene, cam: CameraModel,
         jac_rs=T[order],
         cov2d=cov,
         cov2d_inv=inv,
-        depth=z[order],
         alpha_base=alpha_base[order],
         q_cut=q_cut[order],
         log_alpha_min=log_alpha_min,
@@ -276,6 +271,15 @@ def _stable_sort_by_pixel(pix: np.ndarray, pcount: int) -> np.ndarray:
     return np.argsort(pix, kind="stable")
 
 
+def _pixel_segments(pix: np.ndarray, pcount: int):
+    """Segments of pairs grouped by pixel in ascending pixel order: each
+    pixel's id, its pair count and the offset of its first pair."""
+    counts = np.bincount(pix, minlength=pcount)
+    seg_pix = np.flatnonzero(counts)
+    seg_len = counts[seg_pix]
+    return seg_pix, seg_len, np.cumsum(seg_len) - seg_len
+
+
 def _chunk_bounds(proj: Projection):
     """Depth-ordered [lo, hi) runs of Gaussians whose estimated pairs, each
     footprint's ellipse area pi q_cut sqrt(det Sigma), sum to at most
@@ -296,9 +300,9 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
                extra_weights: np.ndarray | None = None):
     """Chunked front-to-back compositor.
 
-    Returns (image, final_transmittance, extra_image, tape): the images and the
-    final transmittance as (height, width), extra_image None without
-    extra_weights, and the RenderTape only when keep_tape.
+    Returns (image, extra_image, tape): the images as (height, width),
+    extra_image None without extra_weights, and the RenderTape only when
+    keep_tape.
     """
     pcount = width * height
     t_img = np.ones(pcount)
@@ -325,10 +329,7 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
         perm = _stable_sort_by_pixel(pix, pcount)
         # the sort groups the pairs by pixel, in depth order: the pixel
         # counts give each pixel's segment and the sorted pixel ids
-        counts = np.bincount(pix, minlength=pcount)
-        seg_pix = np.flatnonzero(counts)
-        seg_len = counts[seg_pix]
-        starts = np.cumsum(seg_len) - seg_len
+        seg_pix, seg_len, starts = _pixel_segments(pix, pcount)
         pix = np.repeat(seg_pix, seg_len)
         gi = gi[perm]
         alpha = np.exp(log_alpha[perm])
@@ -365,8 +366,8 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
     tape = None
     if keep_tape:
         tape = RenderTape(proj, np.asarray(offsets, dtype=np.int64),
-                          *(np.concatenate(v) for v in zip(*parts)), t_img, width, height)
-    return image, t_img.reshape(height, width), extra_image, tape
+                          *(np.concatenate(v) for v in zip(*parts)), t_img)
+    return image, extra_image, tape
 
 
 def render(scene: GaussianScene, cam: CameraModel, *,
@@ -377,12 +378,13 @@ def render(scene: GaussianScene, cam: CameraModel, *,
     Footprints end where alpha falls below alpha_min.
 
     An empty (or fully culled) scene renders the pure background with unit
-    transmittance.  The output satisfies
-    image == sum of blended contributions + background * final_transmittance.
+    transmittance.  The output satisfies image == sum of blended
+    contributions + background * final transmittance, which a taped render
+    keeps as tape.t_final.
     """
     proj = _project(scene, cam, alpha_min)
     w, h = cam.width, cam.height
     colors = scene.intensities[proj.orig_idx]
-    depths = proj.depth if compute_depth else None
+    depths = proj.p_cam[:, 2] if compute_depth else None
     return RenderOutput(*_composite(proj, colors, float(scene.background), w, h,
                                     keep_tape, extra_weights=depths))

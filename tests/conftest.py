@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from evsplat.camera import CameraModel
+from evsplat.events import EventStream
+from evsplat.exposure import transmittance_at
 from evsplat.render import (ALPHA_MIN, TERMINATE_TRANSMITTANCE, _project)
 from evsplat.scene import GaussianScene
 
@@ -51,6 +53,54 @@ def scale_foreground(img, mask, factor, ceiling=None):
     if ceiling is not None:
         out[mask] = np.minimum(out[mask], ceiling)
     return out
+
+
+def simulate_exposure_events(img, profile, cfg, levels):
+    """Full exposure-event stream over the aperture ramp [0, t_end]: the
+    sensor model that exposure.simulate_ipe computes the first crossings of.
+
+    The ramp is discretized into `levels` steps; within each step the
+    transmittance is held at its midpoint value, so the accumulated charge
+    I * h(t) is piecewise linear and threshold crossings invert exactly
+    within the step.  Every crossing of a multiple of C is emitted, at its
+    time rounded to whole µs (>= 1); all polarities are positive.  Pixels
+    with I = 0 emit nothing.
+    """
+    h_px, w_px = np.shape(img)
+    intensity = np.asarray(img, dtype=np.float64).reshape(-1)
+    dt = profile.t_end / levels
+    mids = transmittance_at(profile, (np.arange(levels) + 0.5) * dt)
+    c = cfg.contrast_threshold
+    charge = np.zeros_like(intensity)
+    base = np.zeros_like(intensity)   # multiples of c reached so far
+    xs, ys, ts = [], [], []
+    for j in range(levels):
+        rate = intensity * mids[j]
+        new_charge = charge + rate * dt
+        # a 1e-9 relative grace, so accumulated float error cannot miss a
+        # hit that lands exactly on a multiple of c
+        reached = np.floor(new_charge / c + 1e-9)
+        n = (reached - base).astype(np.int64)
+        active = np.flatnonzero(n > 0)
+        if active.size:
+            counts = n[active]
+            rep = np.repeat(active, counts)
+            offs = np.concatenate(([0], np.cumsum(counts)))[:-1]
+            kk = np.arange(counts.sum(), dtype=np.int64) - np.repeat(offs, counts) + 1
+            level = (base[rep] + kk) * c
+            tt = j * dt + np.maximum(level - charge[rep], 0.0) / rate[rep]
+            xs.append((rep % w_px).astype(np.int32))
+            ys.append((rep // w_px).astype(np.int32))
+            ts.append(np.maximum(np.rint(tt * 1e6).astype(np.int64), 1))
+        charge, base = new_charge, reached
+
+    if not ts:
+        return EventStream.empty((w_px, h_px))
+    t = np.concatenate(ts)
+    order = np.argsort(t, kind="stable")
+    return EventStream.create((w_px, h_px), np.concatenate(xs)[order],
+                              np.concatenate(ys)[order], t[order],
+                              np.ones(len(t), dtype=np.int8))
 
 
 def empty_scene(background=0.0):

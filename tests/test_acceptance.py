@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import evsplat
-from conftest import ACCEPTANCE_RESULTS, random_scene, scale_foreground, small_camera
+from conftest import (ACCEPTANCE_RESULTS, random_scene, scale_foreground,
+                      simulate_exposure_events, small_camera)
 from evsplat.backward import render_backward
 from evsplat.camera import CameraModel, pose_at_time
 from evsplat.dataset import (SyntheticSceneSpec, generate_synthetic_scene,
@@ -16,8 +17,7 @@ from evsplat.dataset import (SyntheticSceneSpec, generate_synthetic_scene,
                              read_manifest, serialize_manifest, write_dataset,
                              write_events)
 from evsplat.events import EventModelConfig, EventStream
-from evsplat.exposure import (TransmittanceProfile, extract_ipe,
-                              map_temporal_to_intensity, simulate_exposure_events)
+from evsplat.exposure import TransmittanceProfile, extract_ipe, map_temporal_to_intensity
 from evsplat.losses import combined_loss, motion_event_loss
 from evsplat.metrics import psnr
 from evsplat.render import render

@@ -196,6 +196,38 @@ class TestPipeline:
         assert os.listdir(out_dir) == []
         assert "mask_001.pnm" in capsys.readouterr().err
 
+    def test_wrong_size_frame_exits_one(self, tiny_dataset, tmp_path, capsys):
+        # a ground-truth frame of the wrong size fails at load, not at the
+        # held-out evaluation after training
+        import shutil
+        broken = str(tmp_path / "broken")
+        shutil.copytree(tiny_dataset, broken)
+        write_pnm(os.path.join(broken, "gt", "stop_002.pnm"), np.ones((8, 8)))
+        out_dir = str(tmp_path / "out")
+        code = run(parse(["train", "--data", broken, "--mode", "hq", "--out", out_dir,
+                          "--set", "iterations=20", "--set", "warmup_iters=1"]))
+        assert code == 1
+        assert os.listdir(out_dir) == []
+        assert "'gt/stop_002.pnm' is 8x8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, code, message", [
+        ("train", 1, "ply initialization needs a non-empty cloud"),
+        ("eval", 0, "split novel")])
+    def test_empty_init_cloud(self, sub, code, message, tiny_dataset, tmp_path, capsys):
+        # eval never uses the init cloud; ply training refuses an empty one
+        import shutil
+        from evsplat.dataset import PointCloud, write_ply_points
+        broken = str(tmp_path / "broken")
+        shutil.copytree(tiny_dataset, broken)
+        write_ply_points(os.path.join(broken, "init_points.ply"), PointCloud(np.zeros((0, 3))))
+        out_dir = str(tmp_path / "out")
+        argv = {"train": ["--mode", "hq", "--set", "iterations=3", "--set", "warmup_iters=1"],
+                "eval": ["--checkpoint", os.path.join(broken, "gt_scene.egs")]}[sub]
+        assert run(parse([sub, "--data", broken, "--out", out_dir] + argv)) == code
+        captured = capsys.readouterr()
+        assert message in (captured.err if code else captured.out)
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("sub", ["train", "eval"])
     def test_unknown_pose_id_exits_one(self, sub, tiny_dataset, tmp_path, capsys):
         # a novel view outside the pose table, with a ground-truth frame,

@@ -160,6 +160,22 @@ class TestPly:
         with pytest.raises(FormatError):
             read_ply_points(path)
 
+    def test_no_vertices_read_as_an_empty_cloud(self, tmp_path):
+        path = str(tmp_path / "c.ply")
+        write_ply_points(path, PointCloud(np.zeros((0, 3))))
+        assert read_ply_points(path).points.shape == (0, 3)
+        with pytest.raises(ValueError, match="non-empty cloud"):
+            init_point_cloud("ply", cloud=read_ply_points(path))
+
+    def test_short_vertex_row_names_its_line(self, tmp_path):
+        path = str(tmp_path / "c.ply")
+        with open(path, "w") as f:
+            f.write("ply\nformat ascii 1.0\nelement vertex 2\n"
+                    "property float x\nproperty float y\nproperty float z\n"
+                    "end_header\n1 2 3\n4 5\n")
+        with pytest.raises(FormatError, match="line 9 has 2 values for 3 properties"):
+            read_ply_points(path)
+
 
 class TestManifest:
     def turntable_manifest(self, tmp_path):
@@ -346,4 +362,22 @@ class TestSyntheticGeneration:
         assert masks
         write_pnm(str(tmp_path / masks[-1]), np.zeros((16, 16)))
         with pytest.raises(FormatError, match=masks[-1]):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("kind", ["exposure", "mask", "gt", "events"])
+    def test_wrong_size_rejected_at_load(self, tmp_path, kind):
+        spec = SyntheticSceneSpec(resolution=(16, 16), frames=4, stops=4,
+                                  init_points=9, levels=20, background=0.0)
+        write_dataset(str(tmp_path), generate_synthetic_scene(spec))
+        manifest = read_manifest(str(tmp_path / "manifest.json"))
+        name = {"exposure": manifest.exposure_frames[2]["image"],
+                "mask": [e["mask"] for e in manifest.exposure_frames if e["mask"]][-1],
+                "gt": manifest.gt_frames[2]["image"],
+                "events": manifest.event_file}[kind]
+        if kind == "events":
+            write_events(str(tmp_path / name), EventStream.empty((8, 8)))
+        else:
+            write_pnm(str(tmp_path / name), np.ones((8, 8)))
+        with pytest.raises(FormatError, match=f"'{name}' is 8x8, but the manifest's "
+                                              "resolution is 16x16"):
             load_dataset(str(tmp_path))

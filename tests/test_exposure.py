@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import scale_foreground
+from conftest import scale_foreground, simulate_exposure_events
 
 from evsplat.dataset import SyntheticSceneSpec, generate_synthetic_scene
 from evsplat.events import EventModelConfig, EventStream
 from evsplat.exposure import (TransmittanceProfile, cumulative_exposure, extract_ipe,
-                              map_temporal_to_intensity, simulate_exposure_events,
-                              simulate_ipe, transmittance_at)
+                              map_temporal_to_intensity, simulate_ipe,
+                              transmittance_at)
 
 LINEAR = TransmittanceProfile("linear", 1.0)
 
@@ -165,7 +165,8 @@ class TestSimulateExposure:
 
 
 class TestSimulateIpe:
-    """simulate_ipe is the exposure simulator's IPE without the event stream."""
+    """simulate_ipe equals the IPE of the full stream that conftest's
+    simulate_exposure_events builds, bit for bit."""
 
     @staticmethod
     def assert_matches_stream(img, profile, cfg, levels):

@@ -54,7 +54,7 @@ TAPE_FIELDS = ("chunk_offsets", "pix", "gi", "alpha", "t_before", "live", "t_fin
 
 
 def render_arrays(out):
-    return [out.image, out.final_transmittance] + [getattr(out.tape, f) for f in TAPE_FIELDS]
+    return [out.image] + [getattr(out.tape, f) for f in TAPE_FIELDS]
 
 
 def floats(lo, hi):
@@ -147,7 +147,7 @@ class TestProjection:
         np.testing.assert_allclose(proj.jac[0], [[50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
         np.testing.assert_allclose(proj.rs[0] @ proj.rs[0].T, np.eye(3))
         np.testing.assert_allclose(proj.cov2d[0], np.diag([2500.0 + COV2D_DILATION] * 2))
-        assert proj.depth[0] == 2.0
+        assert proj.p_cam[0, 2] == 2.0
 
     def test_optical_axis_hits_principal_point(self):
         scene = single_gaussian_scene(mean=(0.0, 0.0, 3.7), logit=0.0, scale=0.1)
@@ -189,7 +189,7 @@ class TestRenderForward:
             scene = single_gaussian_scene(mean=(0.0, 0.0, -2.0), background=background)
         out = render(scene, cam, keep_tape=True)
         np.testing.assert_array_equal(out.image, np.full((h, w), background))
-        np.testing.assert_array_equal(out.final_transmittance, np.ones((h, w)))
+        np.testing.assert_array_equal(out.tape.t_final, np.ones(h * w))
         assert len(out.tape.pix) == 0
 
     def test_single_opaque_gaussian_center_value(self):
@@ -387,11 +387,11 @@ class TestRenderForward:
 
 
 def assert_taped_matches_untaped(scene, cam, alpha_min=ALPHA_MIN):
-    """Image, final transmittance and depth of a taped render equal the
-    untaped render's bit for bit; returns the taped output."""
+    """Image and depth of a taped render equal the untaped render's bit for
+    bit; returns the taped output."""
     taped = render(scene, cam, keep_tape=True, compute_depth=True, alpha_min=alpha_min)
     plain = render(scene, cam, compute_depth=True, alpha_min=alpha_min)
-    for name in ("image", "final_transmittance", "depth"):
+    for name in ("image", "depth"):
         np.testing.assert_array_equal(getattr(taped, name), getattr(plain, name))
     return taped
 
