@@ -8,24 +8,28 @@ suffix sums: with contributions w_i = alpha_i * T_i and colors c_i,
     dI/dalpha_i = c_i T_i - (sum_{j>i} c_j w_j + background * T_final) / (1 - alpha_i)
 
 for live elements; elements dropped by the transmittance termination receive
-zero gradient, matching the forward replay, and are dropped before any work.
-The tape's flat arrays are grouped per depth chunk, so chunks are walked in
-reverse with one per-pixel array `later`, background * T_final plus every
-later chunk's contributions.  Within a chunk, with incl the running sum of
-c w over the chunk's pairs, each pixel's head is `later` plus incl at its
-last pair, and each pair's parenthesised suffix is head - incl: one gather
-per pair.
+zero gradient, matching the forward replay.  The tape's chunk records are
+walked in reverse, as the compositor built them, with one per-pixel array
+`later`, background * T_final plus every later chunk's contributions, and
+each chunk's pixel segments read off its record.  Within a chunk, with incl
+the running sum of c w over the chunk's pairs, each pixel's head is `later`
+plus incl at its last pair, and each pair's parenthesised suffix is
+head - incl: one gather per pair.  Dead pairs stay in place with w and u
+masked to zero: they end their pixels' segments, so every running sum and
+per-Gaussian sum sees the live pairs' values in the same order as if the
+dead pairs were removed.
 
 Each pair then contributes u = g * alpha * dI/dalpha, g its pixel's
 upstream.  With alpha = alpha_base exp(-q/2), q = d^T Minv d and
-d = pixel - mean2d, rebuilt for each live pair from its pixel's coordinates
+d = pixel - mean2d, rebuilt for each pair from its pixel's coordinates
 and its Gaussian's mean through the tape's two ids, only seven
 per-Gaussian moments are summed over pairs: sum g w, sum u, sum u d_x,
 sum u d_y, sum u d_x^2, sum u d_x d_y and sum u d_y^2.  The per-Gaussian
 constants come out of the sums afterwards: dL/dalpha_base =
 sum u / alpha_base, dL/dmean2d = Minv (sum u d), and dL/dMinv =
 -1/2 sum u d d^T.  Screen-space positional gradient magnitudes
-and touch flags (any live pair) are kept for adaptive density control.
+and touch flags (a nonzero count of live pairs) are kept for adaptive
+density control.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraModel
-from .render import ALPHA_MAX, RenderTape, _pixel_segments, render
+from .render import ALPHA_MAX, RenderTape, render
 from .scene import PARAMS, GaussianScene
 
 
@@ -84,6 +88,76 @@ def _quat_rotation_adjoint(g_r: np.ndarray, quats: np.ndarray) -> np.ndarray:
     return (g_qh - qh * proj) / norm
 
 
+def _pair_moments(tape: RenderTape, colors: np.ndarray, background: float,
+                  upstream: np.ndarray) -> np.ndarray:
+    """The compositing adjoint: an (8, M) array holding, per Gaussian, the
+    seven moments of its live pairs' terms, sum g w, sum u, sum u d_x,
+    sum u d_y, sum u d_x^2, sum u d_x d_y and sum u d_y^2, and its count
+    of live pairs."""
+    m = len(tape.proj.orig_idx)
+    ups_flat = upstream.reshape(-1)
+    # gathered per pair for d = pixel - mean2d
+    pix_y, pix_x = np.divmod(np.arange(ups_flat.size), upstream.shape[1])
+    mx, my = tape.proj.mean2d[:, 0].copy(), tape.proj.mean2d[:, 1].copy()
+
+    moments = np.zeros((8, m))
+    sum_gw, sum_u, sum_udx, sum_udy, sum_udxx, sum_udxy, sum_udyy, n_live = moments
+    # per pixel: background * T_final plus every later chunk's contributions
+    later = background * tape.t_final
+
+    for chunk in reversed(tape.chunks):
+        pix, gi, alpha, live = chunk.pix, chunk.gi, chunk.alpha, chunk.live
+        dead = None if live.all() else ~live
+        dx = mx[gi]
+        np.subtract(pix_x[pix], dx, out=dx)
+        dy = my[gi]
+        np.subtract(pix_y[pix], dy, out=dy)
+
+        w = alpha * chunk.t_before
+        # dead pairs contribute nothing and receive no gradient; they end
+        # their pixels' segments, so zeros leave every running sum as it was
+        if dead is not None:
+            w[dead] = 0.0
+        cw = colors[gi]
+        cw *= w
+        incl = np.cumsum(cw)
+        seg_pix, starts = chunk.seg_pix, chunk.starts
+        ends = starts + chunk.seg_len - 1
+        # later becomes the head of each pixel's suffix in this chunk; the
+        # suffix after a pair, background term included, is head - incl
+        later[seg_pix] += incl[ends]
+        suffix_bg = later[pix]
+        suffix_bg -= incl
+        later[seg_pix] -= incl[starts] - cw[starts]
+
+        g_px = ups_flat[pix]
+        # u = g_px alpha dI/dalpha = g_px (cw - suffix_bg alpha / (1 - alpha))
+        u = 1.0 - alpha
+        np.divide(alpha, u, out=u)
+        u *= suffix_bg
+        np.subtract(cw, u, out=u)
+        u *= g_px
+        if dead is not None:
+            u[dead] = 0.0
+
+        def per_gaussian(v):
+            return np.bincount(gi, weights=v, minlength=m)
+
+        g_px *= w
+        sum_gw += per_gaussian(g_px)
+        sum_u += per_gaussian(u)
+        udx = u * dx
+        sum_udx += per_gaussian(udx)
+        udy = np.multiply(u, dy, out=u)
+        sum_udy += per_gaussian(udy)
+        sum_udxx += per_gaussian(np.multiply(udx, dx, out=dx))
+        sum_udxy += per_gaussian(np.multiply(udx, dy, out=udx))
+        sum_udyy += per_gaussian(np.multiply(udy, dy, out=dy))
+        n_live += per_gaussian(live)
+
+    return moments
+
+
 def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray,
                     tape: RenderTape | None = None) -> GradientBuffer:
     """Exact gradients of sum(upstream * image) w.r.t. all Gaussian parameters.
@@ -99,60 +173,8 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
     buf = GradientBuffer.zeros(len(scene))
     proj = tape.proj
     m = len(proj.orig_idx)
-
-    colors = scene.intensities[proj.orig_idx]
-    ups_flat = upstream.reshape(-1)
-    # gathered per live pair for d = pixel - mean2d
-    pcount = cam.width * cam.height
-    pix_y, pix_x = np.divmod(np.arange(pcount), cam.width)
-    mx, my = proj.mean2d[:, 0].copy(), proj.mean2d[:, 1].copy()
-
-    # per-Gaussian moments of the per-pair terms, summed over the chunks
-    sum_gw, sum_u, sum_udx, sum_udy, sum_udxx, sum_udxy, sum_udyy = np.zeros((7, m))
-    touched = np.zeros(m, dtype=bool)
-    # per pixel: background * T_final plus every later chunk's contributions
-    later = float(scene.background) * tape.t_final
-
-    offs = tape.chunk_offsets
-    for c in range(len(offs) - 2, -1, -1):
-        sl = slice(int(offs[c]), int(offs[c + 1]))
-        live = tape.live[sl]
-        # dead pairs contribute nothing and receive no gradient
-        parts = (tape.pix[sl], tape.gi[sl], tape.alpha[sl], tape.t_before[sl])
-        if not live.all():
-            parts = tuple(v[live] for v in parts)
-        pix, gi, alpha, t_before = parts
-        dx = pix_x[pix] - mx[gi]
-        dy = pix_y[pix] - my[gi]
-
-        w = alpha * t_before
-        cw = w * colors[gi]
-        incl = np.cumsum(cw)
-        seg_pix, seg_len, starts = _pixel_segments(pix, pcount)
-        ends = starts + seg_len - 1
-        # later becomes the head of each pixel's suffix in this chunk; the
-        # suffix after a pair, background term included, is head - incl
-        later[seg_pix] += incl[ends]
-        suffix_bg = later[pix] - incl
-        later[seg_pix] -= incl[starts] - cw[starts]
-
-        g_px = ups_flat[pix]
-        # u = g_px alpha dI/dalpha
-        u = g_px * (cw - suffix_bg * (alpha / (1.0 - alpha)))
-        udx = u * dx
-        udy = u * dy
-
-        def per_gaussian(v):
-            return np.bincount(gi, weights=v, minlength=m)
-
-        sum_gw += per_gaussian(g_px * w)
-        sum_u += per_gaussian(u)
-        sum_udx += per_gaussian(udx)
-        sum_udy += per_gaussian(udy)
-        sum_udxx += per_gaussian(udx * dx)
-        sum_udxy += per_gaussian(udx * dy)
-        sum_udyy += per_gaussian(udy * dy)
-        touched[gi] = True
+    sum_gw, sum_u, sum_udx, sum_udy, sum_udxx, sum_udxy, sum_udyy, n_live = _pair_moments(
+        tape, scene.intensities[proj.orig_idx], float(scene.background), upstream)
 
     # alpha = alpha_base exp(-q/2) with q = d^T Minv d, d = pixel - mean2d
     minv = proj.cov2d_inv
@@ -204,5 +226,5 @@ def render_backward(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray
     buf.d_opacity_logits[oi] = grad_logit
     buf.d_intensities[oi] = sum_gw
     buf.pos_grad_norm[oi] = np.hypot(grad_mx, grad_my)
-    buf.touched[oi] = touched
+    buf.touched[oi] = n_live > 0
     return buf

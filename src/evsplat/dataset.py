@@ -165,10 +165,16 @@ class PointCloud:
 
 
 def read_ply_points(path: str) -> PointCloud:
+    """Read an ASCII PLY's vertex coordinates; every error names the file,
+    and the line where there is one."""
     with open(path, "rb") as f:
         lines = f.read().decode("ascii", errors="replace").splitlines()
+
+    def fail(what: str):
+        raise FormatError(f"{path!r}: {what}")
+
     if not lines or lines[0].strip() != "ply":
-        raise FormatError("not a PLY file")
+        fail("not a PLY file")
     n_vertex = None
     props: list[str] = []
     in_vertex = False
@@ -176,44 +182,58 @@ def read_ply_points(path: str) -> PointCloud:
     fmt_ok = False
     for i, raw in enumerate(lines[1:], start=1):
         line = raw.strip()
+        parts = line.split()
         if line.startswith("format"):
             if "ascii" not in line:
-                raise FormatError("binary PLY is not supported")
+                fail("binary PLY is not supported")
             fmt_ok = True
         elif line.startswith("comment"):
             continue
         elif line.startswith("element"):
-            parts = line.split()
+            if len(parts) != 3:
+                fail(f"line {i + 1}: an element line needs a name and a count")
             in_vertex = parts[1] == "vertex"
             if in_vertex:
-                n_vertex = int(parts[2])
-        elif line.startswith("property") and in_vertex:
-            parts = line.split()
-            if parts[1] == "list":
-                raise FormatError("list properties on vertices are not supported")
-            props.append(parts[2])
+                try:
+                    n_vertex = int(parts[2])
+                except ValueError:
+                    n_vertex = -1
+                if n_vertex < 0:
+                    fail(f"line {i + 1}: vertex count {parts[2]!r} is not a whole number")
+        elif line.startswith("property"):
+            if len(parts) < 3:
+                fail(f"line {i + 1}: a property line needs a type and a name")
+            if in_vertex:
+                if parts[1] == "list":
+                    fail(f"line {i + 1}: list properties on vertices are not supported")
+                props.append(parts[2])
         elif line == "end_header":
             body_at = i + 1
             break
     if not fmt_ok or n_vertex is None or body_at is None:
-        raise FormatError("malformed PLY header")
+        fail("malformed PLY header")
     for need in ("x", "y", "z"):
         if need not in props:
-            raise FormatError(f"missing vertex property {need!r}")
+            fail(f"missing vertex property {need!r}")
+    xyz = [props.index(need) for need in ("x", "y", "z")]
     rows = [(i + 1, ln.split()) for i, ln in
             enumerate(lines[body_at:body_at + n_vertex], start=body_at) if ln.strip()]
     if len(rows) < n_vertex:
-        raise FormatError(f"header claims {n_vertex} vertices, found {len(rows)}")
-    for line_no, r in rows:
+        fail(f"header claims {n_vertex} vertices, found {len(rows)}")
+    data = np.empty((n_vertex, len(props)))
+    for k, (line_no, r) in enumerate(rows):
         if len(r) < len(props):
-            raise FormatError(f"vertex row at line {line_no} has {len(r)} values "
-                              f"for {len(props)} properties")
-    data = np.array([[float(v) for v in r[:len(props)]] for _, r in rows],
-                    dtype=np.float64).reshape(-1, len(props))
-    cols = {name: data[:, i] for i, name in enumerate(props)}
-    pts = np.column_stack([cols["x"], cols["y"], cols["z"]])
-    inten = cols.get("intensity")
-    return PointCloud(pts, inten)
+            fail(f"vertex row at line {line_no} has {len(r)} values "
+                 f"for {len(props)} properties")
+        try:
+            data[k] = [float(v) for v in r[:len(props)]]
+        except ValueError as exc:
+            fail(f"vertex row at line {line_no}: {exc}")
+    bad = np.flatnonzero(~np.isfinite(data[:, xyz]).all(axis=1))
+    if bad.size:
+        fail(f"vertex row at line {rows[bad[0]][0]} has a non-finite coordinate")
+    inten = data[:, props.index("intensity")] if "intensity" in props else None
+    return PointCloud(data[:, xyz], inten)
 
 
 def write_ply_points(path: str, cloud: PointCloud) -> None:

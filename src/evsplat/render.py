@@ -30,22 +30,24 @@ Implementation: flat arrays over (gaussian, pixel-in-footprint) pairs,
 processed in depth-ordered chunks of consecutive Gaussians whose estimated
 pairs, each footprint's ellipse area pi q_cut sqrt(det), sum to at most
 CHUNK_PAIRS, so that a chunk's per-pair arrays stay near the size of a
-core's L2 cache.  Within a chunk, elements are stably sorted by pixel id
-(radix for 16-bit ids), making the per-pixel compositing order the global
-depth order.  One count of the chunk's pairs per pixel gives the sorted
-pixel ids and each pixel's segment.  A pair's transmittance is the
-transmittance entering the chunk times exp of the chunk's exclusive cumsum
-of log(1 - alpha) less that cumsum at its pixel's first pair, where the
-difference is exactly 0.  Contributions are summed per segment with
-np.add.reduceat.  The live log(1 - alpha) are summed per pixel in pair
-order by bincount, as reduceat's pairwise sums would not be, so a
-per-pixel replay of the tape gives each chunk's entering transmittance bit
-for bit.  Once some pixel has terminated, each later chunk drops the pairs
-whose pixel has terminated, with those below the cutoff, before any
-transcendental work.  A taped render keeps each pair's intp pixel and
-Gaussian ids, alpha, transmittance in front of it and live flag as the
-compositor computed them; the adjoint rebuilds the pair's offset from its
-Gaussian's mean from the two ids.
+core's L2 cache.  Pairs below the cutoff, and once some pixel has
+terminated those of terminated pixels, are not compacted away: they take
+the sentinel sort key pcount, one past the last pixel id.  Within a chunk,
+pairs are stably sorted by that key (radix while the keys fit in 16 bits),
+making the per-pixel compositing order the global depth order and putting
+the dropped pairs last, where the permutation is cut off.  One count of
+the chunk's keys per pixel gives the sorted pixel ids and each pixel's
+segment.  A pair's transmittance is the transmittance entering the chunk
+times exp of the chunk's exclusive cumsum of log(1 - alpha) less that
+cumsum at its pixel's first pair, where the difference is exactly 0.
+Contributions are summed per segment with np.add.reduceat.  The live
+log(1 - alpha) are summed per pixel in pair order by bincount, as
+reduceat's pairwise sums would not be, so a per-pixel replay of the tape
+gives each chunk's entering transmittance bit for bit.  A taped render keeps one record per chunk as the compositor
+built it: each pair's intp pixel and Gaussian ids, alpha, transmittance in
+front of it and live flag, and the chunk's pixel segments.  The adjoint
+walks these records and rebuilds a pair's offset from its Gaussian's mean
+from the two ids; the tape's flat fields are concatenated only when read.
 
 Importing the module sets two process-wide options of the C library's heap
 where it has mallopt (glibc): blocks up to 32 MiB come from the heap rather
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,18 +114,47 @@ class Projection:
 
 
 @dataclass
+class TapeChunk:
+    """One compositing chunk as the compositor built it: its pairs grouped
+    by pixel in depth order, and each pixel's segment of them."""
+
+    pix: np.ndarray             # (k,) intp flat pixel ids
+    gi: np.ndarray              # (k,) intp index into proj arrays
+    alpha: np.ndarray           # (k,)
+    t_before: np.ndarray        # (k,) transmittance in front of the pair
+    live: np.ndarray            # (k,) bool, t_before >= TERMINATE_TRANSMITTANCE
+    seg_pix: np.ndarray         # (s,) the chunk's pixel ids, ascending
+    seg_len: np.ndarray         # (s,) each pixel's pair count
+    starts: np.ndarray          # (s,) offset of each pixel's first pair
+
+
+def _flat(name: str, dtype) -> cached_property:
+    """A tape field concatenating the chunks' `name` arrays, built on first
+    read, so that training, which reads the chunks, never pays for it."""
+    return cached_property(lambda tape: np.concatenate(
+        [np.zeros(0, dtype)] + [getattr(c, name) for c in tape.chunks]))
+
+
+@dataclass
 class RenderTape:
-    """Forward state retained for the backward pass (flat arrays concatenated
-    over depth chunks; within each chunk, grouped by pixel in depth order)."""
+    """Forward state retained for the backward pass: one record per depth
+    chunk, in depth order, and the final transmittance.  The flat fields
+    concatenate the chunks' arrays."""
 
     proj: Projection
-    chunk_offsets: np.ndarray   # (n_chunks + 1,) element offsets
-    pix: np.ndarray             # (K,) intp flat pixel ids
-    gi: np.ndarray              # (K,) intp index into proj arrays
-    alpha: np.ndarray           # (K,)
-    t_before: np.ndarray        # (K,) transmittance in front of the pair
-    live: np.ndarray            # (K,) bool, t_before >= TERMINATE_TRANSMITTANCE
+    chunks: list[TapeChunk]
     t_final: np.ndarray         # (P,) per-pixel final transmittance
+
+    pix = _flat("pix", np.intp)
+    gi = _flat("gi", np.intp)
+    alpha = _flat("alpha", np.float64)
+    t_before = _flat("t_before", np.float64)
+    live = _flat("live", bool)
+
+    @cached_property
+    def chunk_offsets(self) -> np.ndarray:
+        """(n_chunks + 1,) offsets of each chunk's pairs in the flat fields."""
+        return np.cumsum([0] + [len(c.pix) for c in self.chunks], dtype=np.int64)
 
 
 @dataclass
@@ -252,29 +284,39 @@ def _chunk_footprints(proj: Projection, lo: int, hi: int, width: int):
     x0 = np.maximum(np.ceil(centre - half), per_row(rect[:, 0])).astype(np.intp)
     x1 = np.minimum(np.floor(centre + half), per_row(rect[:, 1])).astype(np.intp)
     counts = np.maximum(x1 - x0 + 1, 0)
+    pair_end = np.cumsum(counts)
     # one arange gives both each pair's x and its pixel id
     step = np.arange(counts.sum())
-    x_base = x0 - (np.cumsum(counts) - counts)
-    px = np.repeat(x_base, counts) + step
-    pix = np.repeat(x_base + y * width, counts) + step
-    gi = np.repeat(per_row(np.arange(lo, hi)), counts)
-    t = px - np.repeat(centre, counts)
-    log_alpha = (np.repeat(row_log_alpha, counts)
-                 - np.repeat(per_row(0.5 * c / det), counts) * (t * t))
+    x_base = x0 - (pair_end - counts)
+    px = np.repeat(x_base, counts)
+    px += step
+    pix = np.repeat(x_base + y * width, counts)
+    pix += step
+    # each Gaussian's pairs end where its last row's pairs end
+    gauss_end = np.concatenate(([0], pair_end))[np.cumsum(rows)]
+    gi = np.repeat(np.arange(lo, hi), np.diff(gauss_end, prepend=0))
+    t = np.repeat(centre, counts)
+    np.subtract(px, t, out=t)
+    t *= t
+    t *= np.repeat(per_row(0.5 * c / det), counts)
+    log_alpha = np.repeat(row_log_alpha, counts)
+    log_alpha -= t
     return gi, pix, log_alpha
 
 
 def _stable_sort_by_pixel(pix: np.ndarray, pcount: int) -> np.ndarray:
-    # numpy's stable argsort is radix only for <= 16-bit integer keys
-    if pcount <= 65536:
+    # numpy's stable argsort is radix only for <= 16-bit integer keys; the
+    # keys run up to the sentinel pcount
+    if pcount < 65536:
         return np.argsort(pix.astype(np.uint16), kind="stable")
     return np.argsort(pix, kind="stable")
 
 
-def _pixel_segments(pix: np.ndarray, pcount: int):
-    """Segments of pairs grouped by pixel in ascending pixel order: each
-    pixel's id, its pair count and the offset of its first pair."""
-    counts = np.bincount(pix, minlength=pcount)
+def _pixel_segments(key: np.ndarray, pcount: int):
+    """Segments of pairs grouped by pixel in ascending pixel order, leaving
+    out pairs with the sentinel key pcount: each pixel's id, its pair count
+    and the offset of its first pair."""
+    counts = np.bincount(key, minlength=pcount + 1)[:pcount]
     seg_pix = np.flatnonzero(counts)
     seg_len = counts[seg_pix]
     return seg_pix, seg_len, np.cumsum(seg_len) - seg_len
@@ -310,10 +352,7 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
     extra_acc = np.zeros(pcount) if extra_weights is not None else None
     # per pixel t_img >= TERMINATE_TRANSMITTANCE, once some pixel has terminated
     alive = None
-    # pix, gi, alpha, t_before, live per chunk, after one empty record
-    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), np.zeros(0),
-              np.zeros(0, bool))]
-    offsets = [0]
+    chunks = []
 
     for lo, hi in _chunk_bounds(proj):
         gi, pix, log_alpha = _chunk_footprints(proj, lo, hi, width)
@@ -321,34 +360,43 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
         keep = log_alpha >= proj.log_alpha_min
         if alive is not None:
             keep &= alive[pix]
-        if not keep.all():
-            gi, pix, log_alpha = gi[keep], pix[keep], log_alpha[keep]
-        if len(gi) == 0:
+        n_keep = int(np.count_nonzero(keep))
+        if n_keep == 0:
             continue
+        if n_keep < len(pix):
+            # dropped pairs take the sentinel key pcount: the stable sort
+            # puts them last and the segments leave them out
+            pix[~keep] = pcount
 
-        perm = _stable_sort_by_pixel(pix, pcount)
-        # the sort groups the pairs by pixel, in depth order: the pixel
+        perm = _stable_sort_by_pixel(pix, pcount)[:n_keep]
+        # the sort groups the kept pairs by pixel, in depth order: the pixel
         # counts give each pixel's segment and the sorted pixel ids
         seg_pix, seg_len, starts = _pixel_segments(pix, pcount)
         pix = np.repeat(seg_pix, seg_len)
         gi = gi[perm]
-        alpha = np.exp(log_alpha[perm])
+        alpha = log_alpha[perm]
+        np.exp(alpha, out=alpha)
 
-        ln1m = np.log1p(-alpha)
+        ln1m = np.negative(alpha)
+        np.log1p(ln1m, out=ln1m)
         # exclusive scan per pixel: the chunk's exclusive cumsum less its value
         # at the pixel's first pair, where the difference is exactly 0
         scan = np.empty_like(ln1m)
         scan[0] = 0.0
         np.cumsum(ln1m[:-1], out=scan[1:])
         scan -= np.repeat(scan[starts], seg_len)
-        t_before = np.repeat(t_img[seg_pix], seg_len) * np.exp(scan)
+        t_before = np.exp(scan, out=scan)
+        t_before *= np.repeat(t_img[seg_pix], seg_len)
         live = t_before >= TERMINATE_TRANSMITTANCE
         w = alpha * t_before
         if not live.all():
-            w[~live] = 0.0
-            ln1m = np.where(live, ln1m, 0.0)
+            dead = ~live
+            w[dead] = 0.0
+            ln1m[dead] = 0.0
 
-        image_acc[seg_pix] += np.add.reduceat(w * colors[gi], starts)
+        cw = colors[gi]
+        cw *= w
+        image_acc[seg_pix] += np.add.reduceat(cw, starts)
         if extra_acc is not None:
             extra_acc[seg_pix] += np.add.reduceat(w * extra_weights[gi], starts)
         # summed in pair order, as a per-pixel running sum would be
@@ -358,15 +406,12 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
         if alive is not None or t_seg.min() < TERMINATE_TRANSMITTANCE:
             alive = t_img >= TERMINATE_TRANSMITTANCE
         if keep_tape:
-            parts.append((pix, gi, alpha, t_before, live))
-            offsets.append(offsets[-1] + len(pix))
+            chunks.append(TapeChunk(pix, gi, alpha, t_before, live,
+                                    seg_pix, seg_len, starts))
 
     image = (image_acc + background_value * t_img).reshape(height, width)
     extra_image = extra_acc.reshape(height, width) if extra_acc is not None else None
-    tape = None
-    if keep_tape:
-        tape = RenderTape(proj, np.asarray(offsets, dtype=np.int64),
-                          *(np.concatenate(v) for v in zip(*parts)), t_img)
+    tape = RenderTape(proj, chunks, t_img) if keep_tape else None
     return image, extra_image, tape
 
 

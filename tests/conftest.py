@@ -4,7 +4,7 @@ import pytest
 from evsplat.camera import CameraModel
 from evsplat.events import EventStream
 from evsplat.exposure import transmittance_at
-from evsplat.render import (ALPHA_MIN, TERMINATE_TRANSMITTANCE, _project)
+from evsplat.render import ALPHA_MIN, CHUNK_PAIRS, TERMINATE_TRANSMITTANCE, _project
 from evsplat.scene import GaussianScene
 
 # (number, title, passed, detail) rows appended by the acceptance tests
@@ -35,6 +35,26 @@ def random_scene(rng, n, background=0.4, logit_range=(-2.0, 2.0)):
     logits = rng.uniform(*logit_range, size=n)
     intens = rng.uniform(0.05, 1.0, size=n)
     return GaussianScene(means, quats, log_scales, logits, intens, background=background)
+
+
+def multi_chunk_scene(rng, back=40):
+    """More than a chunk's pair budget of small opaque Gaussians in front of
+    the left half of a 16x16 view, which terminates pixels there, and larger
+    translucent Gaussians behind them over the whole view, which fall in later
+    chunks.  Each front footprint's ellipse is at least 171 pixels at the
+    exact cutoff, so CHUNK_PAIRS // 128 of them overflow the first chunk."""
+    n_front = CHUNK_PAIRS // 128
+    n = n_front + back
+    front = np.arange(n) < n_front
+    means = np.column_stack([
+        np.where(front, rng.uniform(-0.4, 0.0, n), rng.uniform(-0.7, 0.7, n)),
+        np.where(front, rng.uniform(-0.4, 0.4, n), rng.uniform(-0.7, 0.7, n)),
+        np.where(front, rng.uniform(2.0, 2.4, n), rng.uniform(3.0, 4.0, n))])
+    log_scales = np.log(np.where(front, rng.uniform(0.05, 0.08, n),
+                                 rng.uniform(0.1, 0.2, n)))[:, None].repeat(3, axis=1)
+    logits = np.where(front, 5.0, rng.uniform(-1.0, 1.0, n))
+    return GaussianScene(means, rng.normal(size=(n, 4)), log_scales, logits,
+                         rng.uniform(0.05, 1.0, n), background=0.4)
 
 
 def scale_foreground(img, mask, factor, ceiling=None):
@@ -138,6 +158,50 @@ def reference_render(scene: GaussianScene, cam: CameraModel) -> np.ndarray:
                 t *= 1.0 - alpha
             img[py, px] = val + scene.background * t
     return img
+
+
+def reference_adjoint(scene: GaussianScene, cam: CameraModel, upstream: np.ndarray,
+                      alpha_min: float = ALPHA_MIN):
+    """Slow per-pixel adjoint of sum(upstream * image), independent of the
+    tape: each pixel's pairs are found and composited front to back as in
+    reference_render, then walked back to front with a running suffix.
+
+    With g the pixel's upstream, w = alpha T and d = pixel - mean2d, each
+    live pair contributes u = g alpha dI/dalpha and the terms g w, u, u d_x,
+    u d_y, u d_x^2, u d_x d_y, u d_y^2 and 1 to its Gaussian.  Returns the
+    (8, M) sums over pairs, indexed like _project's Gaussians, and the (8, M)
+    sums of the terms' magnitudes, with u's two parts g alpha c T and
+    g alpha suffix / (1 - alpha) taken apart, which bound the rounding of
+    any order of summation.
+    """
+    proj = _project(scene, cam, alpha_min)
+    intens = scene.intensities[proj.orig_idx]
+    x0, x1, y0, y1 = proj.rect.T
+    sums = np.zeros((8, len(intens)))
+    magnitudes = np.zeros_like(sums)
+    for py in range(cam.height):
+        for px in range(cam.width):
+            d = np.array([px, py], dtype=np.float64) - proj.mean2d
+            q = np.einsum("mi,mij,mj->m", d, proj.cov2d_inv, d)
+            alpha = proj.alpha_base * np.exp(-0.5 * q)
+            inside = (x0 <= px) & (px <= x1) & (y0 <= py) & (py <= y1)
+            pairs, t = [], 1.0
+            for k in np.flatnonzero(inside & (alpha >= alpha_min)):
+                if t < TERMINATE_TRANSMITTANCE:
+                    break
+                pairs.append((k, alpha[k], t))
+                t *= 1.0 - alpha[k]
+            g = upstream[py, px]
+            suffix = scene.background * t
+            for k, a, t_before in reversed(pairs):
+                parts = g * a * np.array([intens[k] * t_before, suffix / (1.0 - a)])
+                suffix += intens[k] * a * t_before
+                dx, dy = d[k]
+                powers = np.array([1.0, dx, dy, dx * dx, dx * dy, dy * dy])
+                sums[:, k] += [g * a * t_before, *((parts[0] - parts[1]) * powers), 1.0]
+                magnitudes[:, k] += [abs(g * a * t_before),
+                                     *(np.abs(parts).sum() * np.abs(powers)), 1.0]
+    return sums, magnitudes
 
 
 @pytest.fixture

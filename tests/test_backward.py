@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import empty_scene, random_scene, small_camera
+from conftest import (empty_scene, multi_chunk_scene, random_scene, reference_adjoint,
+                      small_camera)
 
-from evsplat.backward import GradientBuffer, render_backward
-from evsplat.render import render
+import evsplat.render as R
+from evsplat.backward import GradientBuffer, _pair_moments, render_backward
+from evsplat.render import ALPHA_MIN, render
 from evsplat.scene import PARAMS, Gaussian3D, GaussianScene
 from evsplat.training import TRAIN_ALPHA_MIN
 
@@ -161,3 +163,29 @@ class TestGradientCheck:
         total.add_(b1, 0.25)
         np.testing.assert_allclose(total.d_means, 0.25 * b1.d_means)
         np.testing.assert_allclose(total.pos_grad_norm, 0.25 * b1.pos_grad_norm)
+
+
+@pytest.mark.parametrize("alpha_min", [ALPHA_MIN, TRAIN_ALPHA_MIN])
+def test_matches_the_per_pixel_reference_adjoint(alpha_min, rng, monkeypatch):
+    # a budget of 8192 pairs spreads the scene over several chunks, so pixels
+    # terminate inside a middle chunk and inside a later one, and the chunks
+    # after each drop those pixels' pairs before sorting
+    monkeypatch.setattr(R, "CHUNK_PAIRS", 8192)
+    scene = multi_chunk_scene(rng)
+    cam = small_camera()
+    upstream = rng.normal(size=(16, 16))
+    tape = render(scene, cam, keep_tape=True, alpha_min=alpha_min).tape
+    n = len(tape.chunks)
+    dying = [i for i, c in enumerate(tape.chunks) if not c.live.all()]
+    middle = [i for i in dying if 0 < i < n - 1]
+    assert middle and dying[-1] > middle[0]
+
+    ref, magnitude = reference_adjoint(scene, cam, upstream, alpha_min)
+    oi = tape.proj.orig_idx
+    moments = _pair_moments(tape, scene.intensities[oi], scene.background, upstream)
+    assert np.all(np.abs(moments - ref) <= 1e-10 * magnitude)
+    buf = render_backward(scene, cam, upstream, tape)
+    assert np.all(np.abs(buf.d_intensities[oi] - ref[0]) <= 1e-10 * magnitude[0])
+    np.testing.assert_array_equal(buf.touched[oi], ref[7] > 0)
+    assert not buf.touched[oi].all()
+

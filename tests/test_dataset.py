@@ -177,6 +177,27 @@ class TestPly:
             read_ply_points(path)
 
 
+    HEADER = ("ply\nformat ascii 1.0\nelement vertex 2\n"
+              "property float x\nproperty float y\nproperty float z\nend_header\n")
+
+    @pytest.mark.parametrize("text, message", [
+        (HEADER.replace("vertex 2", "vertex x"), "line 3: vertex count 'x' is not a whole number"),
+        (HEADER.replace("vertex 2", "vertex -1"), "line 3: vertex count '-1' is not a whole number"),
+        (HEADER + "1 2 3\n1 2 abc\n", "vertex row at line 9: could not convert .*'abc'"),
+        (HEADER + "1 2 3\n1 nan 3\n", "vertex row at line 9 has a non-finite coordinate"),
+        (HEADER + "inf 2 3\n1 2 3\n", "vertex row at line 8 has a non-finite coordinate"),
+        (HEADER.replace("element vertex 2", "element"), "line 3: an element line needs"),
+        (HEADER.replace("element vertex 2", "element vertex"), "line 3: an element line needs"),
+        (HEADER.replace("property float y", "property"), "line 5: a property line needs"),
+        (HEADER.replace("property float y", "property float"), "line 5: a property line needs"),
+    ])
+    def test_malformed_file_names_the_file_and_line(self, text, message, tmp_path):
+        path = str(tmp_path / "c.ply")
+        with open(path, "w") as f:
+            f.write(text)
+        with pytest.raises(FormatError, match=f"c.ply': {message}"):
+            read_ply_points(path)
+
 class TestManifest:
     def turntable_manifest(self, tmp_path):
         spec = SyntheticSceneSpec(resolution=(16, 16), frames=4, stops=4,

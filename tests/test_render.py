@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_scene, random_scene, reference_render, small_camera
+from conftest import (empty_scene, multi_chunk_scene, random_scene, reference_render,
+                      small_camera)
 
 import evsplat
 from evsplat.backward import render_backward
@@ -27,26 +28,6 @@ def single_gaussian_scene(mean=(0.0, 0.0, 2.0), logit=12.0, intensity=0.8,
     g = Gaussian3D(np.array(mean), np.array([1.0, 0, 0, 0]),
                    np.log([scale] * 3), logit, intensity)
     return GaussianScene.from_gaussians([g], background=background)
-
-
-def multi_chunk_scene(rng, back=40):
-    """More than a chunk's pair budget of small opaque Gaussians in front of
-    the left half of a 16x16 view, which terminates pixels there, and larger
-    translucent Gaussians behind them over the whole view, which fall in later
-    chunks.  Each front footprint's ellipse is at least 171 pixels at the
-    exact cutoff, so CHUNK_PAIRS // 128 of them overflow the first chunk."""
-    n_front = CHUNK_PAIRS // 128
-    n = n_front + back
-    front = np.arange(n) < n_front
-    means = np.column_stack([
-        np.where(front, rng.uniform(-0.4, 0.0, n), rng.uniform(-0.7, 0.7, n)),
-        np.where(front, rng.uniform(-0.4, 0.4, n), rng.uniform(-0.7, 0.7, n)),
-        np.where(front, rng.uniform(2.0, 2.4, n), rng.uniform(3.0, 4.0, n))])
-    log_scales = np.log(np.where(front, rng.uniform(0.05, 0.08, n),
-                                 rng.uniform(0.1, 0.2, n)))[:, None].repeat(3, axis=1)
-    logits = np.where(front, 5.0, rng.uniform(-1.0, 1.0, n))
-    return GaussianScene(means, rng.normal(size=(n, 4)), log_scales, logits,
-                         rng.uniform(0.05, 1.0, n), background=0.4)
 
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -299,6 +280,50 @@ class TestRenderForward:
         out = render(scene, cam, keep_tape=True)
         assert out.tape.pix.min() < 65536 <= out.tape.pix.max()
         np.testing.assert_allclose(out.image, reference_render(scene, cam), atol=1e-12)
+
+    @pytest.mark.parametrize("width, height", [(257, 255), (256, 256)])
+    def test_matches_reference_at_the_sort_key_boundary(self, width, height, monkeypatch):
+        # 65,535 pixels keep the 16-bit sort with the sentinel key 65535;
+        # 65,536 pixels need the wide sort, as the sentinel 65536 would wrap
+        # to pixel 0's key.  Two opaque Gaussians terminate the centre, so
+        # the Gaussians behind them, one per chunk, drop pairs to the sentinel.
+        monkeypatch.setattr(R, "CHUNK_PAIRS", 1)
+        f = 200.0
+        gs = [Gaussian3D(np.array([x, 0.0, z]), np.array([1.0, 0, 0, 0]),
+                         np.log([s] * 3), logit, c)
+              for x, z, s, logit, c in ((0.0, 3.0, 0.1, 9.0, 0.9), (0.0, 3.2, 0.1, 9.0, 0.3),
+                                        (-0.1, 3.4, 0.2, 0.5, 0.6), (0.2, 3.6, 0.3, 0.0, 0.7))]
+        scene = GaussianScene.from_gaussians(gs, background=0.2)
+        cam = CameraModel(fx=f, fy=f, cx=(width - 1) / 2, cy=(height - 1) / 2,
+                          width=width, height=height)
+        out = render(scene, cam, keep_tape=True)
+        tape = out.tape
+        assert len(tape.chunks) == 4
+        assert tape.t_final.min() < TERMINATE_TRANSMITTANCE
+        # the later chunks hold no pair of a pixel terminated before them
+        terminated = np.flatnonzero(tape.t_final < TERMINATE_TRANSMITTANCE)
+        assert not np.isin(tape.chunks[-1].pix, terminated).any()
+        np.testing.assert_allclose(out.image, reference_render(scene, cam), atol=1e-12)
+
+    @pytest.mark.parametrize("alpha_min", [ALPHA_MIN, TRAIN_ALPHA_MIN])
+    def test_chunk_records_agree_with_the_flat_fields(self, alpha_min):
+        tape = render(multi_chunk_scene(np.random.default_rng(2)), small_camera(),
+                      keep_tape=True, alpha_min=alpha_min).tape
+        offsets = tape.chunk_offsets
+        assert len(offsets) == len(tape.chunks) + 1 and offsets[0] == 0
+        assert not tape.live.all()
+        for chunk, lo, hi in zip(tape.chunks, offsets[:-1], offsets[1:]):
+            for name in ("pix", "gi", "alpha", "t_before", "live"):
+                np.testing.assert_array_equal(getattr(chunk, name), getattr(tape, name)[lo:hi])
+            assert np.all(np.diff(chunk.seg_pix) > 0) and np.all(chunk.seg_len > 0)
+            np.testing.assert_array_equal(chunk.starts, np.cumsum(chunk.seg_len) - chunk.seg_len)
+            np.testing.assert_array_equal(np.repeat(chunk.seg_pix, chunk.seg_len), chunk.pix)
+            # each pixel's first pair is live and its dead pairs end its
+            # segment, which the masked adjoint relies on
+            live = chunk.live
+            assert live[chunk.starts].all()
+            same_pixel = chunk.pix[1:] == chunk.pix[:-1]
+            assert not np.any(same_pixel & ~live[:-1] & live[1:])
 
     @PROPERTY
     @given(scenes_and_cameras(max_n=30))
