@@ -194,12 +194,9 @@ def read_ply_points(path: str) -> PointCloud:
                 fail(f"line {i + 1}: an element line needs a name and a count")
             in_vertex = parts[1] == "vertex"
             if in_vertex:
-                try:
-                    n_vertex = int(parts[2])
-                except ValueError:
-                    n_vertex = -1
-                if n_vertex < 0:
+                if not parts[2].isdecimal():
                     fail(f"line {i + 1}: vertex count {parts[2]!r} is not a whole number")
+                n_vertex = int(parts[2])
         elif line.startswith("property"):
             if len(parts) < 3:
                 fail(f"line {i + 1}: a property line needs a type and a name")

@@ -43,11 +43,12 @@ cumsum at its pixel's first pair, where the difference is exactly 0.
 Contributions are summed per segment with np.add.reduceat.  The live
 log(1 - alpha) are summed per pixel in pair order by bincount, as
 reduceat's pairwise sums would not be, so a per-pixel replay of the tape
-gives each chunk's entering transmittance bit for bit.  A taped render keeps one record per chunk as the compositor
-built it: each pair's intp pixel and Gaussian ids, alpha, transmittance in
-front of it and live flag, and the chunk's pixel segments.  The adjoint
-walks these records and rebuilds a pair's offset from its Gaussian's mean
-from the two ids; the tape's flat fields are concatenated only when read.
+gives each chunk's entering transmittance bit for bit.  A taped render
+keeps one record per chunk as the compositor built it: each pair's intp
+pixel and Gaussian ids, alpha, transmittance in front of it and live flag,
+and the chunk's pixel segments.  The adjoint walks these records and
+rebuilds a pair's offset from its Gaussian's mean from the two ids; the
+tape's flat fields are concatenated only when read.
 
 Importing the module sets two process-wide options of the C library's heap
 where it has mallopt (glibc): blocks up to 32 MiB come from the heap rather
@@ -312,16 +313,6 @@ def _stable_sort_by_pixel(pix: np.ndarray, pcount: int) -> np.ndarray:
     return np.argsort(pix, kind="stable")
 
 
-def _pixel_segments(key: np.ndarray, pcount: int):
-    """Segments of pairs grouped by pixel in ascending pixel order, leaving
-    out pairs with the sentinel key pcount: each pixel's id, its pair count
-    and the offset of its first pair."""
-    counts = np.bincount(key, minlength=pcount + 1)[:pcount]
-    seg_pix = np.flatnonzero(counts)
-    seg_len = counts[seg_pix]
-    return seg_pix, seg_len, np.cumsum(seg_len) - seg_len
-
-
 def _chunk_bounds(proj: Projection):
     """Depth-ordered [lo, hi) runs of Gaussians whose estimated pairs, each
     footprint's ellipse area pi q_cut sqrt(det Sigma), sum to at most
@@ -370,8 +361,12 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
 
         perm = _stable_sort_by_pixel(pix, pcount)[:n_keep]
         # the sort groups the kept pairs by pixel, in depth order: the pixel
-        # counts give each pixel's segment and the sorted pixel ids
-        seg_pix, seg_len, starts = _pixel_segments(pix, pcount)
+        # counts, the sentinel's cut off, give each pixel's segment (its id,
+        # pair count and first pair) and the sorted pixel ids
+        counts = np.bincount(pix, minlength=pcount + 1)[:pcount]
+        seg_pix = np.flatnonzero(counts)
+        seg_len = counts[seg_pix]
+        starts = np.cumsum(seg_len) - seg_len
         pix = np.repeat(seg_pix, seg_len)
         gi = gi[perm]
         alpha = log_alpha[perm]

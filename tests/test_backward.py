@@ -188,4 +188,3 @@ def test_matches_the_per_pixel_reference_adjoint(alpha_min, rng, monkeypatch):
     assert np.all(np.abs(buf.d_intensities[oi] - ref[0]) <= 1e-10 * magnitude[0])
     np.testing.assert_array_equal(buf.touched[oi], ref[7] > 0)
     assert not buf.touched[oi].all()
-

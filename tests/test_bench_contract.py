@@ -18,8 +18,9 @@ from conftest import multi_chunk_scene, small_camera
 import evsplat.render as R
 from evsplat.backward import render_backward
 
-# wrapped attributes by module; the exposure spans' simulate_exposure_events
-# and extract_ipe left evsplat.dataset before this test was written
+# wrapped attributes by module; the tracer also wraps evsplat.dataset's
+# simulate_exposure_events and extract_ipe, which that module no longer
+# imports, so their exposure spans stay absent
 WRAPPED = {
     "evsplat.training": ("render", "render_backward", "exposure_loss", "motion_event_loss",
                          "log_intensity_upstream", "accumulate_events", "densify_and_prune",

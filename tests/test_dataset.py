@@ -176,7 +176,6 @@ class TestPly:
         with pytest.raises(FormatError, match="line 9 has 2 values for 3 properties"):
             read_ply_points(path)
 
-
     HEADER = ("ply\nformat ascii 1.0\nelement vertex 2\n"
               "property float x\nproperty float y\nproperty float z\nend_header\n")
 
@@ -197,6 +196,7 @@ class TestPly:
             f.write(text)
         with pytest.raises(FormatError, match=f"c.ply': {message}"):
             read_ply_points(path)
+
 
 class TestManifest:
     def turntable_manifest(self, tmp_path):
