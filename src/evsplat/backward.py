@@ -40,30 +40,30 @@ import numpy as np
 
 from .camera import CameraModel
 from .render import ALPHA_MAX, RenderTape, render
-from .scene import PARAMS, GaussianScene
+from .scene import PARAM_FLOATS, GaussianScene, block_property
 
 
 @dataclass
 class GradientBuffer:
-    """Per-Gaussian partials, d_<name> for each name in scene.PARAMS, plus
-    densification statistics."""
+    """Per-Gaussian partials in the scene's flat layout, with a d_<name> view
+    of each parameter's block, plus densification statistics."""
 
-    d_means: np.ndarray
-    d_quats: np.ndarray
-    d_log_scales: np.ndarray
-    d_opacity_logits: np.ndarray
-    d_intensities: np.ndarray
+    grad: np.ndarray            # dLoss/dx for the scene's flat parameter array x
     pos_grad_norm: np.ndarray   # screen-space |dLoss/dmean2d| per Gaussian
     touched: np.ndarray         # 1 where the Gaussian contributed to any pixel
 
+    d_means = block_property("means", "grad")
+    d_quats = block_property("quats", "grad")
+    d_log_scales = block_property("log_scales", "grad")
+    d_opacity_logits = block_property("opacity_logits", "grad")
+    d_intensities = block_property("intensities", "grad")
+
     @classmethod
     def zeros(cls, n: int) -> "GradientBuffer":
-        return cls(np.zeros((n, 3)), np.zeros((n, 4)), np.zeros((n, 3)),
-                   np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
+        return cls(np.zeros(n * PARAM_FLOATS), np.zeros(n), np.zeros(n))
 
     def add_(self, other: "GradientBuffer", weight: float = 1.0) -> "GradientBuffer":
-        for name in PARAMS:
-            getattr(self, "d_" + name)[...] += weight * getattr(other, "d_" + name)
+        self.grad += weight * other.grad
         self.pos_grad_norm += abs(weight) * other.pos_grad_norm
         self.touched += other.touched
         return self

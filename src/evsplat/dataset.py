@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -176,6 +177,7 @@ def read_ply_points(path: str) -> PointCloud:
     if not lines or lines[0].strip() != "ply":
         fail("not a PLY file")
     n_vertex = None
+    skip = 0   # body rows of the elements declared before the vertices
     props: list[str] = []
     in_vertex = False
     body_at = None
@@ -192,11 +194,13 @@ def read_ply_points(path: str) -> PointCloud:
         elif line.startswith("element"):
             if len(parts) != 3:
                 fail(f"line {i + 1}: an element line needs a name and a count")
+            if not parts[2].isdecimal():
+                fail(f"line {i + 1}: {parts[1]} count {parts[2]!r} is not a whole number")
             in_vertex = parts[1] == "vertex"
             if in_vertex:
-                if not parts[2].isdecimal():
-                    fail(f"line {i + 1}: vertex count {parts[2]!r} is not a whole number")
                 n_vertex = int(parts[2])
+            elif n_vertex is None:
+                skip += int(parts[2])
         elif line.startswith("property"):
             if len(parts) < 3:
                 fail(f"line {i + 1}: a property line needs a type and a name")
@@ -213,8 +217,9 @@ def read_ply_points(path: str) -> PointCloud:
         if need not in props:
             fail(f"missing vertex property {need!r}")
     xyz = [props.index(need) for need in ("x", "y", "z")]
-    rows = [(i + 1, ln.split()) for i, ln in
-            enumerate(lines[body_at:body_at + n_vertex], start=body_at) if ln.strip()]
+    nonblank = ((i + 1, ln.split()) for i, ln in enumerate(lines[body_at:], start=body_at)
+                if ln.strip())
+    rows = list(islice(nonblank, skip, skip + n_vertex))
     if len(rows) < n_vertex:
         fail(f"header claims {n_vertex} vertices, found {len(rows)}")
     data = np.empty((n_vertex, len(props)))

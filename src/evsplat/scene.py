@@ -4,21 +4,73 @@ Parameters are stored unconstrained for optimization: rotation as a
 (re-normalized) quaternion, scale as log-scale, opacity as a logit.  The
 grayscale appearance is a single scalar per Gaussian (spherical-harmonics
 degree 0); the background level is fixed, not optimized.
+
+A scene's N Gaussians live in one flat float64 array of 12 N entries, one
+block per parameter in PARAMS order: means (N*3), quats (N*4), log-scales
+(N*3), opacity logits (N) and intensities (N).  The gradient buffer and
+Adam's moments use the same layout; this module alone knows it.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-# the optimised parameter arrays, in checkpoint and constructor order
-PARAMS = ("means", "quats", "log_scales", "opacity_logits", "intensities")
+# floats per Gaussian of each parameter block, in flat-array, checkpoint
+# and constructor order
+_WIDTH = {"means": 3, "quats": 4, "log_scales": 3, "opacity_logits": 1, "intensities": 1}
+PARAMS = tuple(_WIDTH)
+PARAM_FLOATS = sum(_WIDTH.values())
+_START = dict(zip(PARAMS, accumulate(_WIDTH.values(), initial=0)))
 CHECKPOINT_MAGIC = b"EGS1"
-_FLOATS_PER_GAUSSIAN = 14   # mean 3, quat 4, log_scale 3, opacity_logit 1, intensity 1, pad 2
+_RECORD_FLOATS = 14   # the 12 parameters in PARAMS order, then 2 zero pads
+
+
+def block(flat: np.ndarray, name: str) -> np.ndarray:
+    """The named block of a flat parameter-layout array, as a C-contiguous
+    view: (N, width), or (N,) for a one-wide block."""
+    n = len(flat) // PARAM_FLOATS
+    width = _WIDTH[name]
+    view = flat[n * _START[name]:n * (_START[name] + width)]
+    return view.reshape(n, width) if width > 1 else view
+
+
+def block_property(name: str, source: str = "x") -> property:
+    """A read-only attribute: the named block of the instance's flat array
+    `source`.  In-place updates write through; assignment raises."""
+    return property(lambda self: block(getattr(self, source), name))
+
+
+def take_rows(flat: np.ndarray, idx) -> np.ndarray:
+    """The flat array of the Gaussians at an index array or boolean mask."""
+    return np.concatenate([block(flat, name)[idx].reshape(-1) for name in PARAMS])
+
+
+def concat_rows(flats) -> np.ndarray:
+    """The flat array of every flat array's Gaussians, in order."""
+    return np.concatenate([np.concatenate([block(f, name) for f in flats]).reshape(-1)
+                           for name in PARAMS])
+
+
+def nonfinite_block(flat: np.ndarray) -> tuple[str, np.ndarray] | None:
+    """The first block, in PARAMS order, holding a non-finite entry, with its
+    mask of non-finite entries; None when every entry is finite."""
+    bad = ~np.isfinite(flat)
+    if not bad.any():
+        return None
+    name = next(k for k in PARAMS if block(bad, k).any())
+    return name, block(bad, name)
+
+
+def scale_blocks(flat: np.ndarray, factors: dict[str, float]) -> None:
+    """Multiply each block of a flat array in place by its name's factor."""
+    for name in PARAMS:
+        view = block(flat, name)
+        view *= factors[name]
 
 
 class Gaussian3D(NamedTuple):
@@ -31,27 +83,35 @@ class Gaussian3D(NamedTuple):
     intensity: float
 
 
-@dataclass
 class GaussianScene:
-    means: np.ndarray           # (N, 3)
-    quats: np.ndarray           # (N, 4), re-normalized after optimizer steps
-    log_scales: np.ndarray      # (N, 3)
-    opacity_logits: np.ndarray  # (N,)
-    intensities: np.ndarray     # (N,) grayscale appearance >= 0
-    background: float = 0.0
+    """N Gaussians: the flat parameter array `x` and a background level.
+    Each parameter name reads a view of its block of x."""
 
-    def __post_init__(self):
-        for name in PARAMS:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            setattr(self, name, np.atleast_1d(arr) if name in ("opacity_logits", "intensities")
-                    else np.atleast_2d(arr))
-        if len({len(p) for p in self.params().values()}) != 1:
+    means = block_property("means")                    # (N, 3)
+    quats = block_property("quats")                    # (N, 4), re-normalized after optimizer steps
+    log_scales = block_property("log_scales")          # (N, 3)
+    opacity_logits = block_property("opacity_logits")  # (N,)
+    intensities = block_property("intensities")        # (N,) grayscale appearance >= 0
+
+    def __init__(self, means, quats, log_scales, opacity_logits, intensities,
+                 background: float = 0.0):
+        rows = [np.asarray(a, dtype=np.float64).reshape(-1, width) for a, width in
+                zip((means, quats, log_scales, opacity_logits, intensities), _WIDTH.values())]
+        if len({len(r) for r in rows}) != 1:
             raise ValueError("parameter arrays must share one length")
-        if not 0.0 <= self.background <= 1.0:
+        if not 0.0 <= background <= 1.0:
             raise ValueError("background must lie in [0, 1]")
+        self.x = np.concatenate([r.reshape(-1) for r in rows])
+        self.background = background
+
+    @classmethod
+    def _of(cls, x: np.ndarray, background: float) -> "GaussianScene":
+        scene = cls.__new__(cls)
+        scene.x, scene.background = x, background
+        return scene
 
     def __len__(self) -> int:
-        return len(self.means)
+        return len(self.x) // PARAM_FLOATS
 
     @property
     def opacities(self) -> np.ndarray:
@@ -61,22 +121,17 @@ class GaussianScene:
     def scales(self) -> np.ndarray:
         return np.exp(self.log_scales)
 
-    def params(self) -> dict[str, np.ndarray]:
-        """The parameter arrays by name, as views the optimiser updates in place."""
-        return {name: getattr(self, name) for name in PARAMS}
-
     def take(self, idx) -> "GaussianScene":
         """A new scene of the Gaussians at an index array or boolean mask."""
-        return GaussianScene(*(getattr(self, name)[idx] for name in PARAMS), self.background)
+        return GaussianScene._of(take_rows(self.x, idx), self.background)
 
     def copy(self) -> "GaussianScene":
-        return self.take(np.arange(len(self)))
+        return GaussianScene._of(self.x.copy(), self.background)
 
     @staticmethod
     def concat(scenes) -> "GaussianScene":
         """The Gaussians of every scene in order, on the first scene's background."""
-        return GaussianScene(*(np.concatenate([getattr(s, name) for s in scenes])
-                               for name in PARAMS), scenes[0].background)
+        return GaussianScene._of(concat_rows([s.x for s in scenes]), scenes[0].background)
 
     @classmethod
     def from_gaussians(cls, gaussians, background: float = 0.0) -> "GaussianScene":
@@ -94,21 +149,18 @@ def save_scene(path: str, scene: GaussianScene) -> None:
     """Write the EGS1 checkpoint (atomic: temp file then rename).
 
     Layout: magic "EGS1", count as little-endian uint64, then per Gaussian 14
-    little-endian float32 (mean 3, quaternion 4, log_scale 3, opacity_logit,
-    intensity, 2 zero pads), then the background as one float32.
+    little-endian float32 (its 12 parameters in PARAMS order: mean 3,
+    quaternion 4, log_scale 3, opacity_logit, intensity; then 2 zero pads),
+    then the background as one float32.
     """
     n = len(scene)
-    block = np.zeros((n, _FLOATS_PER_GAUSSIAN), dtype="<f4")
-    block[:, 0:3] = scene.means
-    block[:, 3:7] = scene.quats
-    block[:, 7:10] = scene.log_scales
-    block[:, 10] = scene.opacity_logits
-    block[:, 11] = scene.intensities
+    record = np.zeros((n, _RECORD_FLOATS), dtype="<f4")
+    record[:, :PARAM_FLOATS] = np.column_stack([getattr(scene, name) for name in PARAMS])
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", n))
-        f.write(block.tobytes())
+        f.write(record.tobytes())
         f.write(np.float32(scene.background).astype("<f4").tobytes())
     os.replace(tmp, path)
 
@@ -122,24 +174,24 @@ def load_scene(path: str) -> GaussianScene:
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"bad checkpoint magic: {magic!r}")
         (n,) = struct.unpack("<Q", f.read(8))
-        data = f.read(n * _FLOATS_PER_GAUSSIAN * 4)
-        if len(data) != n * _FLOATS_PER_GAUSSIAN * 4:
+        data = f.read(n * _RECORD_FLOATS * 4)
+        if len(data) != n * _RECORD_FLOATS * 4:
             raise ValueError("truncated checkpoint body")
         tail = f.read(4)
         if len(tail) != 4:
             raise ValueError("missing background value")
-    block = np.frombuffer(data, dtype="<f4").reshape(n, _FLOATS_PER_GAUSSIAN).astype(np.float64)
-    params = (block[:, 0:3], block[:, 3:7], block[:, 7:10], block[:, 10], block[:, 11])
-    quats = params[1]
+    record = np.frombuffer(data, dtype="<f4").reshape(n, _RECORD_FLOATS).astype(np.float64)
+    scene = GaussianScene(*np.split(record[:, :PARAM_FLOATS], list(_START.values())[1:], axis=1),
+                          background=float(np.frombuffer(tail, dtype="<f4")[0]))
+    quats = scene.quats
     bad = np.flatnonzero(~np.isfinite(quats).all(axis=1) | ~quats.any(axis=1))
     if bad.size:
         raise ValueError(f"checkpoint record {bad[0]}: quaternion {quats[bad[0]].tolist()} "
                          "is zero or not finite")
-    for name, values in zip(PARAMS, params):
-        finite = np.isfinite(values)
-        bad = np.flatnonzero(~(finite.all(axis=1) if finite.ndim > 1 else finite))
-        if bad.size:
-            raise ValueError(f"checkpoint record {bad[0]}: {name} "
-                             f"{values[bad[0]].tolist()} is not finite")
-    background = float(np.frombuffer(tail, dtype="<f4")[0])
-    return GaussianScene(*params, background=background)
+    found = nonfinite_block(scene.x)
+    if found is not None:
+        name, bad = found
+        row = np.nonzero(bad)[0][0]
+        raise ValueError(f"checkpoint record {row}: {name} "
+                         f"{getattr(scene, name)[row].tolist()} is not finite")
+    return scene

@@ -1,12 +1,17 @@
 """Training engine: randomized event-window sampling, per-group Adam with
 warmup and positional decay, adaptive density control, and the mode-driven
 optimization loop (fast = motion events only, hq = exposure frames only,
-hybrid = both at equal weight)."""
+hybrid = both at equal weight).
+
+Adam runs over one flat array: the scene's parameters `scene.x`, the
+gradient buffer's `grad` and the moments share the layout of
+`evsplat.scene`, and each group's rate scales its block of the update in
+place."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +23,8 @@ from .losses import combined_loss, exposure_loss, log_intensity_upstream, motion
 from .metrics import psnr
 from .quat import quat_normalize, quat_to_rot
 from .render import render
-from .scene import PARAMS, GaussianScene
+from .scene import (PARAM_FLOATS, GaussianScene, concat_rows, nonfinite_block, scale_blocks,
+                    take_rows)
 
 MODE_LAMBDA = {"fast": 1.0, "hq": 0.0, "hybrid": 0.5}
 MODE_ITERATIONS = {"fast": 10_000, "hq": 30_000, "hybrid": 30_000}
@@ -127,22 +133,22 @@ def learning_rates(cfg: TrainConfig, scene_extent: float, iteration: int) -> dic
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam's first and second moments, in the scene's flat layout."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     skipped_nonfinite: int = 0
 
     @classmethod
     def for_scene(cls, scene: GaussianScene) -> "AdamState":
-        params = scene.params()
-        return cls({k: np.zeros_like(p) for k, p in params.items()},
-                   {k: np.zeros_like(p) for k, p in params.items()})
+        return cls(np.zeros_like(scene.x), np.zeros_like(scene.x))
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lrs: dict[str, float]) -> None:
-    """In-place adaptive update with bias correction (ADAM_BETA1, ADAM_BETA2,
-    ADAM_EPS).
+def adam_step(x: np.ndarray, grad: np.ndarray, state: AdamState,
+              lrs: dict[str, float]) -> None:
+    """In-place adaptive update of a flat parameter array with bias correction
+    (ADAM_BETA1, ADAM_BETA2, ADAM_EPS), each block at its group's rate.
 
     Entries with non-finite gradients are skipped entirely (moments and
     parameter untouched) and counted on the state.
@@ -151,20 +157,17 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        finite = np.isfinite(g)
-        n_bad = g.size - int(finite.sum())
-        if n_bad:
-            state.skipped_nonfinite += n_bad
-        gs = np.where(finite, g, 0.0)
-        m, v = state.m[name], state.v[name]
-        m_new = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * gs
-        v_new = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * gs * gs
-        np.copyto(m, np.where(finite, m_new, m))
-        np.copyto(v, np.where(finite, v_new, v))
-        update = lrs[name] * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p -= np.where(finite, update, 0.0)
+    finite = np.isfinite(grad)
+    state.skipped_nonfinite += grad.size - int(np.count_nonzero(finite))
+    gs = np.where(finite, grad, 0.0)
+    m, v = state.m, state.v
+    np.copyto(m, ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * gs, where=finite)
+    np.copyto(v, ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * gs * gs, where=finite)
+    update = m / bc1
+    scale_blocks(update, lrs)
+    update /= np.sqrt(v / bc2) + ADAM_EPS
+    update[~finite] = 0.0
+    x -= update
 
 
 def optimizer_step(scene: GaussianScene, buf: GradientBuffer, state: AdamState,
@@ -175,14 +178,14 @@ def optimizer_step(scene: GaussianScene, buf: GradientBuffer, state: AdamState,
     non-finite entry (a zero quaternion normalises to NaN), so that a run
     stops at the step instead of saving a scene that cannot be loaded.
     """
-    adam_step(scene.params(), {k: getattr(buf, "d_" + k) for k in PARAMS}, state, lrs)
+    adam_step(scene.x, buf.grad, state, lrs)
     with np.errstate(invalid="ignore", divide="ignore"):
-        scene.quats = quat_normalize(scene.quats)
-    for name, value in scene.params().items():
-        bad = int(np.count_nonzero(~np.isfinite(value)))
-        if bad:
-            raise RuntimeError(f"{bad} non-finite {name} entries after optimizer "
-                               f"step {state.step}")
+        scene.quats[...] = quat_normalize(scene.quats)
+    found = nonfinite_block(scene.x)
+    if found is not None:
+        name, bad = found
+        raise RuntimeError(f"{np.count_nonzero(bad)} non-finite {name} entries after "
+                           f"optimizer step {state.step}")
 
 
 def densify_and_prune(scene: GaussianScene, state: AdamState,
@@ -221,22 +224,14 @@ def densify_and_prune(scene: GaussianScene, state: AdamState,
         split = scene.take(np.repeat(split_idx, 2))
         noise = rng.standard_normal((len(split), 3))
         R = quat_to_rot(quat_normalize(split.quats))
-        split.means += np.einsum("nij,nj->ni", R, split.scales * noise)
-        split.log_scales -= np.log(SPLIT_SCALE_SHRINK)
+        split.means[...] += np.einsum("nij,nj->ni", R, split.scales * noise)
+        split.log_scales[...] -= np.log(SPLIT_SCALE_SHRINK)
         parts.append(split)
     new_scene = GaussianScene.concat(parts)
 
-    n_new = len(new_scene) - int(survivors.sum())
-    new_state = AdamState(
-        {k: _resize_moment(mv, survivors, n_new) for k, mv in state.m.items()},
-        {k: _resize_moment(vv, survivors, n_new) for k, vv in state.v.items()},
-        step=state.step, skipped_nonfinite=state.skipped_nonfinite)
-    return new_scene, new_state
-
-
-def _resize_moment(arr: np.ndarray, survivors: np.ndarray, n_new: int) -> np.ndarray:
-    tail_shape = (n_new,) + arr.shape[1:]
-    return np.concatenate([arr[survivors], np.zeros(tail_shape)])
+    fresh = np.zeros((len(new_scene) - int(survivors.sum())) * PARAM_FLOATS)
+    m, v = (concat_rows([take_rows(mv, survivors), fresh]) for mv in (state.m, state.v))
+    return new_scene, replace(state, m=m, v=v)
 
 
 @dataclass

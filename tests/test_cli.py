@@ -304,11 +304,12 @@ class TestPipeline:
 
     def test_nonfinite_step_exits_one(self, tiny_dataset, tmp_path, capsys, monkeypatch):
         from evsplat import training
+        from evsplat.scene import block
         step = training.adam_step
 
-        def step_to_zero_quaternion(params, *args):
-            step(params, *args)
-            params["quats"][3] = 0.0
+        def step_to_zero_quaternion(x, *args):
+            step(x, *args)
+            block(x, "quats")[3] = 0.0
 
         monkeypatch.setattr(training, "adam_step", step_to_zero_quaternion)
         out_dir = str(tmp_path / "nan")

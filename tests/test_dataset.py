@@ -176,6 +176,23 @@ class TestPly:
         with pytest.raises(FormatError, match="line 9 has 2 values for 3 properties"):
             read_ply_points(path)
 
+    @pytest.mark.parametrize("text", [
+        # a face element declared before the vertices: its row comes first
+        "ply\nformat ascii 1.0\nelement face 1\nproperty list uchar int vertex_indices\n"
+        "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+        "end_header\n3 0 1 2\n1 2 3\n4 5 6\n7 8 9\n",
+        # blank lines among the vertex rows
+        "ply\nformat ascii 1.0\nelement vertex 3\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "end_header\n1 2 3\n\n4 5 6\n  \n7 8 9\n",
+    ], ids=["face_before_vertex", "blank_vertex_lines"])
+    def test_vertex_rows_found_among_other_rows(self, text, tmp_path):
+        path = str(tmp_path / "c.ply")
+        with open(path, "w") as f:
+            f.write(text)
+        np.testing.assert_array_equal(read_ply_points(path).points,
+                                      [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+
     HEADER = ("ply\nformat ascii 1.0\nelement vertex 2\n"
               "property float x\nproperty float y\nproperty float z\nend_header\n")
 

@@ -6,7 +6,7 @@ from conftest import empty_scene
 from evsplat.camera import CameraModel
 from evsplat.quat import quat_normalize, quat_slerp, quat_to_rot, rot_to_quat
 from evsplat.render import _project
-from evsplat.scene import Gaussian3D, GaussianScene, load_scene, save_scene
+from evsplat.scene import PARAMS, Gaussian3D, GaussianScene, load_scene, save_scene
 
 
 def world_covariance(quats, log_scales):
@@ -172,7 +172,8 @@ class TestSceneContainer:
                                        scene.take(np.arange(5) >= 2)])
         copy = scene.copy()
         copy.means[0] = 9.0
-        for name, arr in scene.params().items():
+        for name in PARAMS:
+            arr = getattr(scene, name)
             np.testing.assert_array_equal(getattr(picked, name), arr[[4, 1, 1]])
             np.testing.assert_array_equal(getattr(halves, name), arr)
         assert picked.background == halves.background == 0.3

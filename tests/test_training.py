@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from evsplat import training
 from evsplat.backward import GradientBuffer
 from evsplat.dataset import init_point_cloud
 from evsplat.events import EventModelConfig, EventStream
-from evsplat.scene import PARAMS
-from evsplat.training import (GROUP_LR_MULTIPLIER, AdamState, DensifyConfig, SamplerConfig,
+from evsplat.scene import PARAMS, block, save_scene, take_rows
+from evsplat.training import (AdamState, DensifyConfig, SamplerConfig,
                               TrainConfig, TrainData, adam_step, densify_and_prune,
                               learning_rates, sample_window, train, optimizer_step)
 
@@ -67,13 +67,35 @@ class TestLearningRates:
         assert b["quats"] == a["quats"]
 
 
-def test_parameter_list_has_one_home(rng):
-    # the optimiser's groups and moments and the gradient buffer all walk
-    # scene.PARAMS, in its order
-    assert tuple(GROUP_LR_MULTIPLIER) == PARAMS
-    assert tuple(AdamState.for_scene(random_scene(rng, 3)).m) == PARAMS
-    assert tuple(f.name[2:] for f in fields(GradientBuffer)
-                 if f.name.startswith("d_")) == PARAMS
+def test_parameters_share_one_flat_buffer(rng, tmp_path):
+    n = 3
+    scene = random_scene(rng, n)
+    buf = GradientBuffer.zeros(n)
+    # the blocks of x in PARAMS order, each name a view of its block
+    np.testing.assert_array_equal(
+        scene.x, np.concatenate([getattr(scene, name).reshape(-1) for name in PARAMS]))
+    for name in PARAMS:
+        assert np.shares_memory(getattr(scene, name), scene.x), name
+        assert np.shares_memory(getattr(buf, "d_" + name), buf.grad), name
+    # the finite-difference checks perturb arr.reshape(-1) in place
+    assert np.shares_memory(scene.means.reshape(-1), scene.x)
+    with pytest.raises(AttributeError):
+        scene.quats = np.ones((n, 4))
+    # the optimiser's quaternion renormalisation lands in x
+    scene.quats[...] *= 3.0
+    optimizer_step(scene, buf, AdamState.for_scene(scene), LRS)
+    np.testing.assert_allclose(np.linalg.norm(scene.x[3 * n:7 * n].reshape(n, 4), axis=1),
+                               1.0, rtol=1e-12)
+    # an EGS1 record: the Gaussian's 12 parameters, then two zero pads
+    path = str(tmp_path / "scene.egs")
+    save_scene(path, scene)
+    records = np.frombuffer(open(path, "rb").read()[12:-4], dtype="<f4").reshape(n, 14)
+    for i in range(n):
+        params = np.concatenate([np.ravel(getattr(scene, name)[i]) for name in PARAMS])
+        np.testing.assert_array_equal(records[i], np.append(params.astype("<f4"), [0, 0]))
+
+
+LRS = {name: 0.01 for name in PARAMS}
 
 
 class TestAdam:
@@ -84,22 +106,28 @@ class TestAdam:
 
     def test_zero_gradients_no_change(self, rng):
         scene, state = self._setup(rng)
-        before = {k: v.copy() for k, v in scene.params().items()}
-        buf = GradientBuffer.zeros(len(scene))
-        optimizer_step(scene, buf, state, {k: 0.01 for k in before})
-        for k, v in scene.params().items():
-            if k == "quats":
+        before = scene.copy()
+        optimizer_step(scene, GradientBuffer.zeros(len(scene)), state, LRS)
+        for name in PARAMS:
+            if name == "quats":
                 continue   # re-normalized after the step
-            np.testing.assert_array_equal(v, before[k])
+            np.testing.assert_array_equal(getattr(scene, name), getattr(before, name))
 
     def test_descends_against_gradient(self, rng):
         scene, state = self._setup(rng)
-        params = scene.params()
-        grads = {k: np.ones_like(v) for k, v in params.items()}
-        before = {k: v.copy() for k, v in params.items()}
-        adam_step(params, grads, state, {k: 0.1 for k in params})
-        for k in params:
-            assert np.all(params[k] < before[k])
+        before = scene.x.copy()
+        adam_step(scene.x, np.ones_like(scene.x), state, LRS)
+        assert np.all(scene.x < before)
+
+    def test_each_block_steps_at_its_group_rate(self, rng):
+        # a first step against a uniform gradient moves every entry by its rate
+        scene, state = self._setup(rng)
+        lrs = dict(zip(PARAMS, (0.1, 0.2, 0.3, 0.4, 0.5)))
+        before = scene.copy()
+        adam_step(scene.x, np.full_like(scene.x, 2.0), state, lrs)
+        for name in PARAMS:
+            np.testing.assert_allclose(getattr(before, name) - getattr(scene, name),
+                                       lrs[name], rtol=0, atol=1e-12)
 
     def test_bit_identical_trajectory(self, rng):
         results = []
@@ -108,20 +136,17 @@ class TestAdam:
             state = AdamState.for_scene(scene)
             gen = np.random.default_rng(11)
             for _ in range(10):
-                params = scene.params()
-                grads = {k: gen.normal(size=v.shape) for k, v in params.items()}
-                adam_step(params, grads, state, {k: 0.01 for k in params})
-            results.append(scene.means.copy())
+                adam_step(scene.x, gen.normal(size=scene.x.shape), state, LRS)
+            results.append(scene.x.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_nonfinite_entries_skipped_and_counted(self, rng):
         scene, state = self._setup(rng, n=3)
-        params = scene.params()
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        grads["means"][0, 0] = np.nan
-        grads["means"][1, 2] = np.inf
+        grad = np.zeros_like(scene.x)
+        block(grad, "means")[0, 0] = np.nan
+        block(grad, "means")[1, 2] = np.inf
         before = scene.means.copy()
-        adam_step(params, grads, state, {k: 0.1 for k in params})
+        adam_step(scene.x, grad, state, LRS)
         np.testing.assert_array_equal(scene.means, before)
         assert state.skipped_nonfinite == 2
 
@@ -129,7 +154,7 @@ class TestAdam:
         scene, state = self._setup(rng)
         buf = GradientBuffer.zeros(len(scene))
         buf.d_quats[:] = 0.3
-        optimizer_step(scene, buf, state, {k: 0.1 for k in scene.params()})
+        optimizer_step(scene, buf, state, {k: 0.1 for k in PARAMS})
         np.testing.assert_allclose(np.linalg.norm(scene.quats, axis=1), 1.0, atol=1e-12)
 
     def test_nonfinite_parameter_stops_the_step(self, rng):
@@ -139,7 +164,7 @@ class TestAdam:
         buf = GradientBuffer.zeros(len(scene))
         with pytest.raises(RuntimeError, match="4 non-finite quats entries after "
                                                "optimizer step 1"):
-            optimizer_step(scene, buf, state, {k: 0.01 for k in scene.params()})
+            optimizer_step(scene, buf, state, LRS)
 
 
 class TestDensify:
@@ -170,10 +195,13 @@ class TestDensify:
         state = AdamState.for_scene(scene)
         stats = np.zeros(6)
         stats[1] = 1.0
+        state.m[:] = rng.normal(size=state.m.shape)
         out, st = densify_and_prune(scene, state, stats, np.ones(6),
                                     DensifyConfig(grad_threshold=0.5), 1.0, rng)
         assert len(out) == 7
-        assert st.m["means"].shape == (7, 3)
+        # the survivors keep their moments, the clone starts at zero
+        np.testing.assert_array_equal(take_rows(st.m, np.arange(6)), state.m)
+        assert not take_rows(st.m, [6]).any() and not st.v.any()
 
     def test_split_shrinks_scale(self, rng):
         scene = self._scene(scale=0.2)     # above 0.01 * extent
@@ -208,7 +236,7 @@ class TestDensify:
             scene, state = densify_and_prune(scene, state, np.ones(len(scene)),
                                              np.ones(len(scene)), cfg, 1.0, rng)
             assert len(scene) == cfg.max_count
-            assert state.m["means"].shape == (cfg.max_count, 3)
+            assert block(state.m, "means").shape == (cfg.max_count, 3)
 
     def test_parameters_stay_finite_and_alpha_in_range(self, rng):
         scene = self._scene(scale=0.2)
