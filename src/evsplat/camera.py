@@ -36,6 +36,11 @@ class CameraModel:
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
+        for name in ("width", "height"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         object.__setattr__(self, "R", np.asarray(self.R, dtype=np.float64).reshape(3, 3))
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64).reshape(3))
 

@@ -329,14 +329,18 @@ def _check_pose_id(pose_id, where: str, n_poses: int) -> None:
 
 def parse_manifest(doc: dict) -> SceneManifest:
     try:
-        resolution = (int(doc["resolution"][0]), int(doc["resolution"][1]))
+        width, height = doc["resolution"][0], doc["resolution"][1]
         intr = doc["intrinsics"]
         intrinsics = (float(intr["fx"]), float(intr["fy"]),
                       float(intr["cx"]), float(intr["cy"]))
         traj_doc = doc["trajectory"]
     except KeyError as exc:
         raise FormatError(f"manifest missing key {exc.args[0]!r}") from exc
-    cam = CameraModel(*intrinsics, resolution[0], resolution[1])
+    try:
+        cam = CameraModel(*intrinsics, width, height)
+    except ValueError as exc:
+        raise FormatError(f"manifest {exc}") from exc
+    resolution = (cam.width, cam.height)
     kind = traj_doc.get("kind")
     if kind == "turntable":
         traj = TurntableTrajectory(

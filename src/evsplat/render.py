@@ -32,14 +32,19 @@ pairs, each footprint's ellipse area pi q_cut sqrt(det), sum to at most
 CHUNK_PAIRS, so that a chunk's per-pair arrays stay near the size of a
 core's L2 cache.  Pairs below the cutoff, and once some pixel has
 terminated those of terminated pixels, are not compacted away: they take
-the sentinel sort key pcount, one past the last pixel id.  Within a chunk,
-pairs are stably sorted by that key (radix while the keys fit in 16 bits),
-making the per-pixel compositing order the global depth order and putting
-the dropped pairs last, where the permutation is cut off.  One count of
-the chunk's keys per pixel gives the sorted pixel ids and each pixel's
-segment.  A pair's transmittance is the transmittance entering the chunk
-times exp of the chunk's exclusive cumsum of log(1 - alpha) less that
-cumsum at its pixel's first pair, where the difference is exactly 0.
+the sentinel pixel id pcount, one past the last pixel id.  Within a chunk,
+pairs are stably sorted by pixel id, making the per-pixel compositing order
+the global depth order and putting the dropped pairs last, where the
+permutation is cut off.  The sort is one np.sort of packed keys, each
+pair's pixel id above its position in the chunk, 32-bit while both fit and
+64-bit otherwise: the keys are unique, so numpy's unstable sort, which it
+dispatches to vectorised (AVX2/AVX-512) code, gives the stable order, and
+one unpacking of the sorted keys gives both the permutation and the sorted
+pixel ids, by the same path at every image size.  Each pixel's segment
+starts where the sorted ids change, and termination is marked only at the
+chunk's own pixels.  A pair's transmittance is the transmittance entering
+the chunk times exp of the chunk's exclusive cumsum of log(1 - alpha) less
+that cumsum at its pixel's first pair, where the difference is exactly 0.
 Contributions are summed per segment with np.add.reduceat.  The live
 log(1 - alpha) are summed per pixel in pair order by bincount, as
 reduceat's pairwise sums would not be, so a per-pixel replay of the tape
@@ -305,12 +310,24 @@ def _chunk_footprints(proj: Projection, lo: int, hi: int, width: int):
     return gi, pix, log_alpha
 
 
-def _stable_sort_by_pixel(pix: np.ndarray, pcount: int) -> np.ndarray:
-    # numpy's stable argsort is radix only for <= 16-bit integer keys; the
-    # keys run up to the sentinel pcount
-    if pcount < 65536:
-        return np.argsort(pix.astype(np.uint16), kind="stable")
-    return np.argsort(pix, kind="stable")
+def _stable_sort_by_pixel(pix: np.ndarray, pcount: int):
+    """(perm, ids): the stable argsort of pix, whose ids run up to the
+    sentinel pcount, and the sorted ids pix[perm], both intp, from one sort
+    of unique keys, each id packed above its position (see the module
+    docstring)."""
+    n = len(pix)
+    shift = (n - 1).bit_length()
+    if pcount.bit_length() + shift <= 32:
+        key = pix.astype(np.uint32)
+        key <<= shift
+        key |= np.arange(n, dtype=np.uint32)
+    else:
+        key = pix << shift
+        key |= np.arange(n)
+    key.sort()
+    perm = np.bitwise_and(key, (1 << shift) - 1, out=np.empty(n, np.intp))
+    ids = np.right_shift(key, shift, out=np.empty(n, np.intp))
+    return perm, ids
 
 
 def _chunk_bounds(proj: Projection):
@@ -355,19 +372,20 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
         if n_keep == 0:
             continue
         if n_keep < len(pix):
-            # dropped pairs take the sentinel key pcount: the stable sort
-            # puts them last and the segments leave them out
+            # dropped pairs take the sentinel id pcount: the stable sort puts
+            # them last, where the permutation is cut off
             pix[~keep] = pcount
 
-        perm = _stable_sort_by_pixel(pix, pcount)[:n_keep]
-        # the sort groups the kept pairs by pixel, in depth order: the pixel
-        # counts, the sentinel's cut off, give each pixel's segment (its id,
-        # pair count and first pair) and the sorted pixel ids
-        counts = np.bincount(pix, minlength=pcount + 1)[:pcount]
-        seg_pix = np.flatnonzero(counts)
-        seg_len = counts[seg_pix]
-        starts = np.cumsum(seg_len) - seg_len
-        pix = np.repeat(seg_pix, seg_len)
+        perm, pix = _stable_sort_by_pixel(pix, pcount)
+        perm, pix = perm[:n_keep], pix[:n_keep]
+        # the sort groups the kept pairs by pixel, in depth order: each
+        # pixel's segment starts where the sorted ids change
+        first = np.empty(n_keep, bool)
+        first[0] = True
+        np.not_equal(pix[1:], pix[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        seg_pix = pix[starts]
+        seg_len = np.diff(starts, append=n_keep)
         gi = gi[perm]
         alpha = log_alpha[perm]
         np.exp(alpha, out=alpha)
@@ -396,10 +414,13 @@ def _composite(proj: Projection, colors: np.ndarray, background_value: float,
             extra_acc[seg_pix] += np.add.reduceat(w * extra_weights[gi], starts)
         # summed in pair order, as a per-pixel running sum would be
         t_seg = t_img[seg_pix] * np.exp(
-            np.bincount(pix, weights=ln1m, minlength=pcount)[seg_pix])
+            np.bincount(pix, weights=ln1m)[seg_pix])
         t_img[seg_pix] = t_seg
-        if alive is not None or t_seg.min() < TERMINATE_TRANSMITTANCE:
-            alive = t_img >= TERMINATE_TRANSMITTANCE
+        # only the chunk's own pixels can have terminated in it
+        if alive is None and t_seg.min() < TERMINATE_TRANSMITTANCE:
+            alive = np.ones(pcount, bool)
+        if alive is not None:
+            alive[seg_pix] = t_seg >= TERMINATE_TRANSMITTANCE
         if keep_tape:
             chunks.append(TapeChunk(pix, gi, alpha, t_before, live,
                                     seg_pix, seg_len, starts))

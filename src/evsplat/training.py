@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .backward import GradientBuffer, render_backward
-from .camera import Trajectory, pose_at_time
+from .camera import CameraModel, Trajectory, pose_at_time
 from .events import EventModelConfig, EventStream, accumulate_events, log_intensity
 from .exposure import ExposureFrame
 from .losses import combined_loss, exposure_loss, log_intensity_upstream, motion_event_loss
@@ -250,12 +250,9 @@ class TrainData:
     scene_extent: float | None = None
 
 
-def _eval_psnr(scene: GaussianScene, data: TrainData) -> float:
-    vals = []
-    for pose_id, gt in data.eval_frames:
-        cam = pose_at_time(data.trajectory, data.pose_times[pose_id])
-        vals.append(psnr(render(scene, cam).image, gt))
-    return float(np.mean(vals))
+def _eval_psnr(scene: GaussianScene, views: list[tuple[CameraModel, np.ndarray]]) -> float:
+    """Mean PSNR of exact renders against the (camera, ground truth) views."""
+    return float(np.mean([psnr(render(scene, cam).image, gt) for cam, gt in views]))
 
 
 def train(data: TrainData, cfg: TrainConfig):
@@ -286,6 +283,11 @@ def train(data: TrainData, cfg: TrainConfig):
     touch_accum = np.zeros(len(scene))
     log: list[dict] = []
     psnr_eval = None
+    # each frame's camera is built once, not on every iteration or evaluation
+    frame_cams = [pose_at_time(data.trajectory, data.pose_times[fr.pose_id])
+                  for fr in data.exposure_frames] if use_frames else None
+    eval_views = [(pose_at_time(data.trajectory, data.pose_times[pose_id]), gt)
+                  for pose_id, gt in data.eval_frames or ()]
     t_start = time.perf_counter()
 
     for it in range(1, cfg.iterations + 1):
@@ -317,8 +319,7 @@ def train(data: TrainData, cfg: TrainConfig):
 
         if use_frames:
             j = int(rng.integers(len(data.exposure_frames)))
-            fr = data.exposure_frames[j]
-            cam = pose_at_time(data.trajectory, data.pose_times[fr.pose_id])
+            fr, cam = data.exposure_frames[j], frame_cams[j]
             out = render(scene, cam, keep_tape=True, alpha_min=TRAIN_ALPHA_MIN)
             res = exposure_loss(out.image, fr)
             l_img = res.value
@@ -341,17 +342,17 @@ def train(data: TrainData, cfg: TrainConfig):
             log.append({"iter": it, "loss": loss, "l_evs": l_evs, "l_img": l_img,
                         "lambda": lam, "count": len(scene), "lr_means": lrs["means"],
                         "elapsed_s": round(time.perf_counter() - t_start, 3)})
-        if (cfg.eval_interval > 0 and data.eval_frames
+        if (cfg.eval_interval > 0 and eval_views
                 and (it % cfg.eval_interval == 0 or it == cfg.iterations)):
-            psnr_eval = _eval_psnr(scene, data)
+            psnr_eval = _eval_psnr(scene, eval_views)
             log.append({"iter": it, "psnr_eval": psnr_eval})
 
     summary = {"event": "final", "iterations": cfg.iterations, "mode": cfg.mode,
                "count": len(scene),
                "elapsed_s": round(time.perf_counter() - t_start, 3)}
-    if data.eval_frames:
+    if eval_views:
         # the loop's evaluation at the last iteration, when there was one
-        summary["psnr_eval"] = (_eval_psnr(scene, data) if psnr_eval is None
+        summary["psnr_eval"] = (_eval_psnr(scene, eval_views) if psnr_eval is None
                                 else psnr_eval)
     log.append(summary)
     return scene, log

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from evsplat.camera import (CameraModel, KeyframeTrajectory, TurntableTrajectory,
                             pose_at_time)
+from evsplat.render import render
+from evsplat.scene import Gaussian3D, GaussianScene
 
 
 def template():
@@ -112,6 +116,23 @@ class TestCameraModel:
     def test_bad_focal_rejected(self):
         with pytest.raises(ValueError):
             CameraModel(fx=-1.0, fy=1.0, cx=0, cy=0, width=8, height=8)
+
+    @pytest.mark.parametrize("name, value", [("width", 0), ("height", -1), ("width", 16.0),
+                                             ("height", True), ("width", "16")])
+    def test_size_must_be_a_positive_integer(self, name, value):
+        size = {"width": 16, "height": 16, name: value}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a positive integer, "
+                                                       f"got {value!r}")):
+            CameraModel(fx=40.0, fy=40.0, cx=7.5, cy=7.5, **size)
+
+    def test_numpy_integer_size_accepted(self):
+        cam = CameraModel(40.0, 40.0, 7.5, 5.5, np.int64(16), np.uint16(12))
+        assert (cam.width, cam.height) == (16, 12)
+        assert type(cam.width) is int and type(cam.height) is int
+        scene = GaussianScene.from_gaussians(
+            [Gaussian3D(np.array([0.0, 0.0, 2.0]), np.array([1.0, 0, 0, 0]),
+                        np.log([0.1] * 3), 2.0, 0.8)], background=0.2)
+        assert render(scene, cam).image.shape == (12, 16)
 
     def test_looking_at_projects_target_to_principal_point(self):
         cam = CameraModel.looking_at([0, -4, 0], [0, 0, 0], [0, 0, 1],

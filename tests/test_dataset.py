@@ -292,6 +292,17 @@ class TestManifest:
             parse_manifest(doc)
         assert named in str(exc.value)
 
+    @pytest.mark.parametrize("resolution, named", [
+        ([16.5, 12], "width must be a positive integer, got 16.5"),
+        ([16, 0], "height must be a positive integer, got 0")])
+    def test_bad_resolution_rejected(self, tmp_path, resolution, named):
+        import json
+        from evsplat.dataset import parse_manifest
+        doc = json.load(open(self.turntable_manifest(tmp_path)))
+        doc["resolution"] = resolution
+        with pytest.raises(FormatError, match=f"manifest {named}"):
+            parse_manifest(doc)
+
     def test_missing_split_lists_read_empty(self, tmp_path):
         import json
         from evsplat.dataset import parse_manifest

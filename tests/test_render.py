@@ -281,12 +281,13 @@ class TestRenderForward:
         assert out.tape.pix.min() < 65536 <= out.tape.pix.max()
         np.testing.assert_allclose(out.image, reference_render(scene, cam), atol=1e-12)
 
-    @pytest.mark.parametrize("width, height", [(257, 255), (256, 256)])
+    @pytest.mark.parametrize("width, height", [(257, 255), (256, 256), (346, 260)])
     def test_matches_reference_at_the_sort_key_boundary(self, width, height, monkeypatch):
-        # 65,535 pixels keep the 16-bit sort with the sentinel key 65535;
-        # 65,536 pixels need the wide sort, as the sentinel 65536 would wrap
-        # to pixel 0's key.  Two opaque Gaussians terminate the centre, so
-        # the Gaussians behind them, one per chunk, drop pairs to the sentinel.
+        # The sentinel 65535 fits 16 bits and 65536 does not, so the chunk of
+        # the largest Gaussian (~47k pairs) sorts keys of exactly 32 bits at
+        # 257x255 and 64-bit keys at 256x256 and at 346x260, the DAVIS346's
+        # resolution.  Two opaque Gaussians terminate the centre, so the
+        # Gaussians behind them, one per chunk, drop pairs to the sentinel.
         monkeypatch.setattr(R, "CHUNK_PAIRS", 1)
         f = 200.0
         gs = [Gaussian3D(np.array([x, 0.0, z]), np.array([1.0, 0, 0, 0]),
@@ -304,6 +305,22 @@ class TestRenderForward:
         terminated = np.flatnonzero(tape.t_final < TERMINATE_TRANSMITTANCE)
         assert not np.isin(tape.chunks[-1].pix, terminated).any()
         np.testing.assert_allclose(out.image, reference_render(scene, cam), atol=1e-12)
+
+    # (pixel count, pairs): the packed key is 32-bit while the bits of the
+    # sentinel pcount and of the last position sum to at most 32
+    @pytest.mark.parametrize("pcount, n, wide", [
+        (16_384, 65_536, False), (65_535, 65_536, False), (65_536, 65_536, True),
+        (89_960, 32_768, False), (89_960, 70_000, True), (1 << 17, 1 << 16, True),
+        (3, 5_000, False), (1, 1, False)])
+    def test_packed_sort_is_the_stable_argsort(self, pcount, n, wide):
+        assert (pcount.bit_length() + (n - 1).bit_length() > 32) == wide
+        rng = np.random.default_rng(n)
+        pix = rng.integers(0, pcount, n)
+        pix[rng.random(n) < 0.3] = pcount
+        perm, ids = R._stable_sort_by_pixel(pix.copy(), pcount)
+        assert perm.dtype == ids.dtype == np.intp
+        np.testing.assert_array_equal(perm, np.argsort(pix, kind="stable"))
+        np.testing.assert_array_equal(ids, pix[perm])
 
     @pytest.mark.parametrize("alpha_min", [ALPHA_MIN, TRAIN_ALPHA_MIN])
     def test_chunk_records_agree_with_the_flat_fields(self, alpha_min):

@@ -360,6 +360,19 @@ class TestTrainLoop:
         evals = [r["psnr_eval"] for r in log if "psnr_eval" in r]
         assert evals[-1] == evals[-2]
 
+    def test_each_frame_camera_is_built_once(self, rng, monkeypatch):
+        data = tiny_train_data(rng, with_events=False)
+        data = replace(data, eval_frames=[(k, f.image)
+                                          for k, f in enumerate(data.exposure_frames[:2])])
+        poses = []
+        real = training.pose_at_time
+        monkeypatch.setattr(training, "pose_at_time",
+                            lambda traj, t: poses.append(t) or real(traj, t))
+        train(data, replace(tiny_config("hq", iters=12), eval_interval=4))
+        # four exposure frames and two evaluation frames, over 12 iterations
+        # and three evaluations
+        assert sorted(poses) == sorted(data.pose_times + data.pose_times[:2])
+
     @pytest.mark.parametrize("mode,taped_per_iter", [("fast", 2), ("hq", 1), ("hybrid", 3)])
     def test_training_renders_at_the_training_cutoff(self, rng, monkeypatch, mode,
                                                      taped_per_iter):
